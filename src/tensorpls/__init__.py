@@ -43,6 +43,7 @@ from .evaluate import (
 )
 from .fileio import load_model, model_checksum, read_tensor, save_model, write_tensor
 from .regression import (
+    ALGORITHMS,
     FitConfig,
     Hopls2Model,
     HoplsModel,
@@ -60,16 +61,12 @@ from .tensor import (
     cross_cov_mode1,
     fold,
     fro_norm,
-    inner,
-    kron,
     kron_all,
     matricize,
-    mode1_vector_product,
     mode_n_product,
     multi_mode_product,
     tucker_assemble,
     tucker_contract,
-    vectorize,
 )
 
 __version__ = "0.1.0"

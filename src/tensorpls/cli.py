@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +38,8 @@ from .evaluate import (
     rmsep,
 )
 from .fileio import load_model, read_tensor, save_model, write_json, write_tensor
-from .regression import (
-    FitConfig,
-    Hopls2Model,
-    HoplsModel,
-    PlsModel,
-    fit_hopls,
-    fit_hopls2,
-    fit_pls_nipals,
-    predict_hopls,
-    predict_hopls2,
-    predict_pls,
-)
-from .tensor import fold, fro_norm, matricize
+from .regression import ALGORITHMS, Algorithm, FitConfig, algorithm, algorithm_of
+from .tensor import fro_norm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,35 +132,24 @@ def _cmd_synth(args) -> int:
 # fit
 
 
-def _fit_config_from_args(args, x: np.ndarray, y: np.ndarray) -> FitConfig:
+def _fit_config_from_args(args, algo: Algorithm, x: np.ndarray, y: np.ndarray) -> FitConfig:
     if args.lam is not None and args.l is not None:
         raise _UsageError("--lambda and --l are mutually exclusive")
-    if args.algo == "npls":
-        if args.l is not None or (args.lam is not None and args.lam != 1):
-            raise _UsageError("npls forces lambda=1; do not pass --lambda/--l")
-        lam = 1
-    else:
-        lam = args.lam
-    center = not args.no_center
-    kwargs = {"epsilon": args.epsilon, "center": center}
-    if args.algo in ("hopls",):
-        if args.l is not None:
-            x_ranks = _parse_int_list(args.l)
-            y_ranks = _parse_int_list(args.k) if args.k else x_ranks[: y.ndim - 1]
-            return FitConfig(args.r, x_ranks, y_ranks, **kwargs)
-        if lam is None:
-            raise _UsageError("hopls needs --lambda or --l")
-        return FitConfig.uniform(args.r, lam, x.ndim, y.ndim, **kwargs)
-    if args.algo == "npls":
-        return FitConfig.uniform(args.r, 1, x.ndim, y.ndim if y.ndim > 2 else None, **kwargs)
-    if args.algo == "hopls2":
-        if args.l is not None:
-            return FitConfig(args.r, _parse_int_list(args.l), **kwargs)
-        if lam is None:
-            raise _UsageError("hopls2 needs --lambda or --l")
-        return FitConfig.uniform(args.r, lam, x.ndim, **kwargs)
-    # pls: loading counts are irrelevant
-    return FitConfig.uniform(args.r, 1, x.ndim, **kwargs)
+    kwargs = {"epsilon": args.epsilon, "center": not args.no_center}
+    lam = args.lam
+    if algo.fixed_lam is not None:
+        if args.l is not None or lam not in (None, algo.fixed_lam):
+            raise _UsageError(
+                f"{args.algo} forces lambda={algo.fixed_lam}; do not pass --lambda/--l"
+            )
+        lam = algo.fixed_lam
+    elif args.l is not None:
+        x_ranks = _parse_int_list(args.l)
+        y_ranks = _parse_int_list(args.k) if args.k else x_ranks[: y.ndim - 1]
+        return FitConfig(args.r, x_ranks, y_ranks if algo.y_ranked else (), **kwargs)
+    if lam is None:
+        raise _UsageError(f"{args.algo} needs --lambda or --l")
+    return algo.config(args.r, lam, x.ndim, y.ndim, **kwargs)
 
 
 def _training_q2_lines(model, y_raw: np.ndarray, y_pred: np.ndarray) -> list[str]:
@@ -185,43 +162,16 @@ def _training_q2_lines(model, y_raw: np.ndarray, y_pred: np.ndarray) -> list[str
 def _cmd_fit(args) -> int:
     x = read_tensor(args.x)
     y = read_tensor(args.y)
-    cfg = _fit_config_from_args(args, x, y)
+    algo = algorithm(args.algo, y.ndim)
+    cfg = _fit_config_from_args(args, algo, x, y)
+    model = algo.fit(x, y, cfg)
+    y_pred = algo.predict(model, x)
     lines = [f"algo={args.algo}"]
-    if args.algo in ("hopls", "npls") and y.ndim >= 3:
-        model = fit_hopls(x, y, cfg)
-        y_pred = predict_hopls(model, x)
-    elif args.algo == "npls" and y.ndim == 2:
-        # rank-one blocks against a matrix response: the two-way variant
-        model = fit_hopls2(x, y, cfg)
-        y_pred = predict_hopls2(model, x)
-    elif args.algo == "hopls" and y.ndim == 2:
-        raise ShapeMismatchError(
-            "hopls needs an order >= 3 response; use hopls2 for a matrix"
-        )
-    elif args.algo == "hopls2":
-        if y.ndim != 2:
-            raise ShapeMismatchError("hopls2 needs a 2-way response")
-        model = fit_hopls2(x, y, cfg)
-        y_pred = predict_hopls2(model, x)
-    elif args.algo == "pls":
-        x2, y2 = matricize(x, 0), matricize(y, 0)
-        model = fit_pls_nipals(
-            x2, y2, min(cfg.n_components, min(x2.shape)), center=cfg.center
-        )
-        model = replace(
-            model, x_feature_shape=x.shape[1:], y_feature_shape=y.shape[1:]
-        )
-        y_pred = fold(predict_pls(model, x2), 0, y.shape)
-    else:
-        raise _UsageError(f"unknown algo {args.algo!r}")
-
     for i, (xr, yr) in enumerate(
         zip(model.x_residual_norms[1:], model.y_residual_norms[1:])
     ):
         lines.append(f"component={i + 1} x_residual={xr:.12g} y_residual={yr:.12g}")
-    achieved = model.n_components
-    stop = getattr(model, "stop_reason", "completed")
-    lines.append(f"achieved={achieved} stop_reason={stop}")
+    lines.append(f"achieved={model.n_components} stop_reason={model.stop_reason}")
     lines.extend(_training_q2_lines(model, y, y_pred))
     checksum = save_model(args.out, model)
     lines.append(f"model={args.out} checksum={checksum}")
@@ -236,19 +186,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     x = read_tensor(args.x)
-    if isinstance(model, HoplsModel):
-        pred = predict_hopls(model, x)
-    elif isinstance(model, Hopls2Model):
-        pred = predict_hopls2(model, x)
-    elif isinstance(model, PlsModel):
-        if x.shape[1:] != model.x_feature_shape:
-            raise ShapeMismatchError(
-                f"new data trailing shape {x.shape[1:]} != training {model.x_feature_shape}"
-            )
-        flat = predict_pls(model, matricize(x, 0))
-        pred = fold(flat, 0, (x.shape[0],) + model.y_feature_shape)
-    else:
-        raise FileFormatError("unsupported model type")
+    pred = algorithm_of(model).predict(model, x)
     write_tensor(args.out, pred)
     return EXIT_OK
 
@@ -278,16 +216,10 @@ def _cmd_eval(args) -> int:
 def _cmd_cv(args) -> int:
     x = read_tensor(args.x)
     y = read_tensor(args.y)
-    algo = args.algo
-    if algo in ("hopls", "npls") and y.ndim == 2:
-        algo = "hopls2"
-    lam_max = 1 if args.algo == "npls" else args.lambda_max
     candidates = grid_candidates(
-        x.shape, y.shape, args.r_max, lam_max, algo, center=not args.no_center
+        x.shape, y.shape, args.r_max, args.lambda_max, args.algo, center=not args.no_center
     )
-    if args.algo == "npls":
-        candidates = [c for c in candidates if c.lam == 1]
-    report = kfold_cv(x, y, args.folds, candidates, algo)
+    report = kfold_cv(x, y, args.folds, candidates, args.algo)
     rows = []
     for (r, lam) in sorted(report.grid):
         q2 = report.grid[(r, lam)]
@@ -401,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model and save it")
-    p.add_argument("--algo", required=True, choices=("hopls", "hopls2", "npls", "pls"))
+    p.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--r", type=int, required=True)
@@ -425,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("cv", help="k-fold grid search over (R, lambda)")
-    p.add_argument("--algo", required=True, choices=("hopls", "hopls2", "npls", "pls"))
+    p.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--folds", type=int, default=5)

@@ -41,15 +41,12 @@ class HooiSettings:
 
     max_iters: int = 50
     rel_tol: float = 1e-8
-    deterministic_init: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
-        if not self.deterministic_init:
-            raise ValueError("only the deterministic HOSVD init is provided")
 
 
 @dataclass(frozen=True)
@@ -66,33 +63,29 @@ class TuckerFactors:
     objective_history: tuple[float, ...] = field(default=())
     converged: bool = True
 
-    def reconstruct(self) -> np.ndarray:
-        out = self.core
-        for mode, f in enumerate(self.factors):
-            out = mode_n_product(out, f, mode)
-        return out
+
+def _sign_flips(u: np.ndarray) -> np.ndarray | None:
+    # Largest-magnitude entry of each left singular vector made positive;
+    # argmax already breaks ties by lowest index. Returns one factor of +1
+    # or -1 per column (multiplying by -1.0 negates exactly), or None when
+    # no column needs a flip.
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    negative = lead < 0
+    if not negative.any():
+        return None
+    return np.where(negative, -1.0, 1.0)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each left singular vector made positive;
-    # np.argmax already breaks ties by lowest index.
-    idx = np.argmax(np.abs(u), axis=0)
-    flip = u[idx, np.arange(u.shape[1])] < 0
-    if flip.any():
-        u = u.copy()
-        v = v.copy()
-        u[:, flip] = -u[:, flip]
-        v[:, flip] = -v[:, flip]
-    return u, v
+    flips = _sign_flips(u)
+    if flips is None:
+        return u, v
+    return u * flips, v * flips
 
 
 def _fix_signs_left(u: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(u), axis=0)
-    flip = u[idx, np.arange(u.shape[1])] < 0
-    if flip.any():
-        u = u.copy()
-        u[:, flip] = -u[:, flip]
-    return u
+    flips = _sign_flips(u)
+    return u if flips is None else u * flips
 
 
 def truncated_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,14 +196,6 @@ def hosvd(t: np.ndarray, ranks: Sequence[int]) -> TuckerFactors:
     return TuckerFactors(core=core, factors=factors)
 
 
-def _project_except(t: np.ndarray, factors: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    out = t
-    for mode, f in enumerate(factors):
-        if mode != skip:
-            out = mode_n_product(out, f.T, mode)
-    return out
-
-
 def hooi(
     t: np.ndarray,
     ranks: Sequence[int],
@@ -241,9 +226,17 @@ def hooi(
     history = [objective]
     converged = False
     for _ in range(settings.max_iters):
+        # mode n's projection contracts modes 0..n-1 with the factors already
+        # updated in this sweep, then modes n+1.. with the previous ones; the
+        # first part is shared, so it is carried from one mode to the next
+        done = t
         for n in range(t.ndim):
-            proj = _project_except(t, factors, skip=n)
+            proj = done
+            for m in range(n + 1, t.ndim):
+                proj = mode_n_product(proj, factors[m].T, m)
             factors[n], s = _left_singular_factor(matricize(proj, n), ranks[n])
+            if n + 1 < t.ndim:
+                done = mode_n_product(done, factors[n].T, n)
         # after the last mode update the core is factors[-1]^T applied to
         # that projection, so its squared norm is just sum(s^2)
         prev, objective = objective, float(s @ s)

@@ -33,15 +33,7 @@ import numpy as np
 
 from .decomp import HooiSettings
 from .errors import DegenerateDataError, ShapeMismatchError
-from .regression import (
-    FitConfig,
-    fit_hopls,
-    fit_hopls2,
-    fit_pls_nipals,
-    predict_hopls,
-    predict_hopls2,
-    predict_pls,
-)
+from .regression import ALGORITHMS, Algorithm, FitConfig, algorithm
 from .tensor import astensor, fro_norm, matricize, tucker_assemble
 
 __all__ = [
@@ -65,7 +57,7 @@ __all__ = [
     "ALGOS",
 ]
 
-ALGOS = ("hopls", "hopls2", "npls", "pls")
+ALGOS = tuple(ALGORITHMS)
 
 CASE_SHAPES = {
     # case tag -> (kind, x_shape, y_shape, loading_dist)
@@ -397,13 +389,6 @@ class CvReport:
         return self.grid[self.best]
 
 
-def _max_lambda(x_shape, y_shape, algo: str) -> int:
-    dims = list(x_shape[1:])
-    if algo == "hopls":
-        dims += list(y_shape[1:])
-    return min(dims)
-
-
 def grid_candidates(
     x_shape: Sequence[int],
     y_shape: Sequence[int],
@@ -414,22 +399,16 @@ def grid_candidates(
 ) -> list[FitConfig]:
     """(R, lambda) grid for an algorithm, capped to the valid loading range.
 
-    ``npls`` and ``pls`` carry lambda = 1 only (rank-one blocks / no lambda).
+    ``npls`` and ``pls`` carry lambda = 1 only (rank-one blocks / no lambda);
+    on a matrix response ``hopls`` and ``npls`` get the ``hopls2`` grid.
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r}")
-    x_order = len(x_shape)
-    y_order = len(y_shape)
-    lam_cap = _max_lambda(x_shape, y_shape, algo) if algo in ("hopls", "hopls2") else 1
-    lam_values = range(1, min(lambda_max, lam_cap) + 1) if algo in ("hopls", "hopls2") else (1,)
-    out = []
-    for r in range(1, r_max + 1):
-        for lam in lam_values:
-            if algo == "hopls" or (algo == "npls" and y_order > 2):
-                out.append(FitConfig.uniform(r, lam, x_order, y_order, center=center))
-            else:
-                out.append(FitConfig.uniform(r, lam, x_order, center=center))
-    return out
+    entry = algorithm(algo, len(y_shape))
+    lam_top = min(lambda_max, entry.lam_cap(x_shape, y_shape))
+    return [
+        entry.config(r, lam, len(x_shape), len(y_shape), center=center)
+        for r in range(1, r_max + 1)
+        for lam in range(1, lam_top + 1)
+    ]
 
 
 def _fold_slices(n: int, folds: int) -> list[slice]:
@@ -468,7 +447,7 @@ def _prefix_q2s(scores, columns, test_y, y_mean, rs):
 
 
 def _fit_prefix_q2s(
-    algo: str,
+    algo: Algorithm,
     train_x,
     train_y,
     test_x,
@@ -478,30 +457,15 @@ def _fit_prefix_q2s(
     hooi_settings: HooiSettings,
 ):
     """Fit once at max R; return {r: validation Q²} for each prefix."""
-    if algo in ("hopls", "npls"):
-        model = fit_hopls(train_x, train_y, cfg, hooi_settings)
-        xc = test_x - model.x_mean if model.x_mean is not None else test_x
-        scores = matricize(xc, 0) @ model.x_weights
-        return _prefix_q2s(scores, model.y_operator, test_y, model.y_mean, rs)
-    if algo == "hopls2":
-        model = fit_hopls2(train_x, train_y, cfg, hooi_settings)
-        xc = test_x - model.x_mean if model.x_mean is not None else test_x
-        scores = matricize(xc, 0) @ model.x_weights
-        columns = (
-            model.y_loadings * model.coefs[None, :]
-            if model.n_components
-            else np.zeros((test_y.shape[1], 0))
-        )
-        return _prefix_q2s(scores, columns, test_y, model.y_mean, rs)
-    if algo == "pls":
-        x2 = matricize(np.asarray(train_x), 0)
-        y2 = matricize(np.asarray(train_y), 0)
-        n_fit = min(cfg.n_components, min(x2.shape))
-        model = fit_pls_nipals(x2, y2, n_fit, center=cfg.center)
-        t2 = matricize(np.asarray(test_x), 0)
-        ref = matricize(np.asarray(test_y), 0)
-        return {r: q_squared(ref, predict_pls(model, t2, n_components=r)) for r in rs}
-    raise ValueError(f"unknown algo {algo!r}")
+    model = algo.fit(train_x, train_y, cfg, hooi_settings)
+    xc = test_x - model.x_mean if model.x_mean is not None else test_x
+    scores = matricize(xc, 0) @ model.score_operator
+    return _prefix_q2s(scores, model.response_operator, test_y, model.y_mean, rs)
+
+
+def _best_cell(grid: dict[tuple[int, int], float]) -> tuple[int, int]:
+    # max mean Q², ties to the smallest R, then the smallest lambda
+    return min(grid, key=lambda cell: (-grid[cell], cell[0], cell[1]))
 
 
 def kfold_cv(
@@ -521,12 +485,13 @@ def kfold_cv(
     max mean Q², ties resolved to the smallest R then smallest lambda.
 
     Components are extracted sequentially, so one fit at the largest pending
-    R per (fold, lambda) yields every smaller-R model exactly.
+    R per (fold, lambda) yields every smaller-R model exactly. ``algo``
+    names an entry of the algorithm table; on a matrix response the tensor
+    methods run their matrix-response variant.
     """
     x = astensor(x)
     y = astensor(y)
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r}")
+    entry = algorithm(algo, y.ndim)
     if folds < 2:
         raise DegenerateDataError("folds must be >= 2")
     if x.shape[0] < folds:
@@ -561,7 +526,7 @@ def kfold_cv(
         fold_scores: dict[int, list[float]] = {r: [] for r in rs}
         for (train_x, test_x), (train_y, test_y) in split_cache:
             q2s = _fit_prefix_q2s(
-                algo, train_x, train_y, test_x, test_y, max_cfg, rs, hooi_settings
+                entry, train_x, train_y, test_x, test_y, max_cfg, rs, hooi_settings
             )
             for r in rs:
                 fold_scores[r].append(q2s[r])
@@ -573,8 +538,9 @@ def kfold_cv(
                 stopped.add(r)
             last_mean[r] = mean
 
-    best = min(grid, key=lambda cell: (-grid[cell], cell[0], cell[1]))
-    return CvReport(algo=algo, folds=folds, grid=grid, per_fold=per_fold, best=best)
+    return CvReport(
+        algo=algo, folds=folds, grid=grid, per_fold=per_fold, best=_best_cell(grid)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +558,33 @@ class BenchmarkResult:
     selected: dict[str, tuple[tuple[int, int], ...]]
 
 
+def _read_off(earlier, cands: Sequence[FitConfig], method: str) -> CvReport | None:
+    """The CV report of ``cands``, read off an earlier run of the same fit.
+
+    ``earlier`` is (candidates, report) of a :func:`kfold_cv` run on the same
+    data with the same fit function. When ``cands`` span one lambda (so no
+    pruning of their own applies) and each of them was scored there, every
+    cell is the prefix Q² of the same fits on the same folds: N-PLS is the
+    HOPLS lambda = 1 column. Returns None when that does not hold.
+    """
+    if earlier is None or len({cfg.lam for cfg in cands}) != 1:
+        return None
+    earlier_cands, report = earlier
+    cells = {(cfg.n_components, cfg.lam) for cfg in cands}
+    if not set(cands) <= set(earlier_cands) or not cells <= report.grid.keys():
+        return None
+    grid = {cell: q2 for cell, q2 in report.grid.items() if cell in cells}
+    return CvReport(
+        algo=method,
+        folds=report.folds,
+        grid=grid,
+        per_fold={cell: report.per_fold[cell] for cell in grid},
+        best=_best_cell(grid),
+    )
+
+
 def _derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
-
-
-def _refit_and_score(
-    algo: str, data: SynthData, cfg: FitConfig, hooi_settings, score_clean: bool
-) -> float:
-    target = data.y_val_clean if score_clean else data.y_val
-    if algo in ("hopls", "npls"):
-        model = fit_hopls(data.x, data.y, cfg, hooi_settings)
-        return q_squared(target, predict_hopls(model, data.x_val))
-    if algo == "hopls2":
-        model = fit_hopls2(data.x, data.y, cfg, hooi_settings)
-        return q_squared(target, predict_hopls2(model, data.x_val))
-    x2 = matricize(data.x, 0)
-    y2 = matricize(data.y, 0)
-    model = fit_pls_nipals(x2, y2, min(cfg.n_components, min(x2.shape)), center=cfg.center)
-    pred = predict_pls(model, matricize(data.x_val, 0))
-    return q_squared(matricize(target, 0), pred)
 
 
 def benchmark_case(
@@ -621,21 +595,13 @@ def benchmark_case(
     lambda_max: int = 10,
     methods: Sequence[str] | None = None,
     hooi_settings: HooiSettings = HooiSettings(),
-    score_clean: bool = False,
 ) -> BenchmarkResult:
     """Full selection-and-evaluation protocol over repeated datasets.
 
     Per repeat: generate a calibration/validation pair (seed derived from
     ``spec.seed`` and the repeat index), select (R, lambda) by k-fold CV on
     the calibration data for each method, refit on the whole calibration
-    set, and score Q² on the validation set.
-
-    By default predictions are scored against the observed (noisy)
-    validation response — the literal Q² protocol. ``score_clean=True``
-    scores against the clean validation signal instead, measuring recovery
-    of the underlying structure (a perfect denoiser then scores 1 at any
-    noise level). Cross-validation inside the protocol always scores
-    against observed data; the clean signal is unknown to model selection.
+    set, and score Q² against the observed (noisy) validation response.
 
     Method names are ``hopls``, ``npls``, ``pls``; for a matrix response
     (``matrix-response`` kind) the tensor methods dispatch to their
@@ -645,33 +611,22 @@ def benchmark_case(
         raise ValueError("repeats must be >= 1")
     if methods is None:
         methods = ("hopls", "npls", "pls")
-    matrix_y = len(spec.y_shape) == 2
     q2: dict[str, list[float]] = {m: [] for m in methods}
     selected: dict[str, list[tuple[int, int]]] = {m: [] for m in methods}
     for i in range(repeats):
         data = generate(replace(spec, seed=_derive_seed(spec.seed, i)))
+        runs: dict[str, tuple] = {}  # first CV run per fit function
         for method in methods:
-            algo = method
-            if matrix_y and method in ("hopls", "npls"):
-                algo = "hopls2"
-            lam_cap = lambda_max if method != "npls" else 1
-            cands = grid_candidates(
-                data.x.shape, data.y.shape, r_max, lam_cap, algo
-            )
-            if method == "npls":
-                cands = [c for c in cands if c.lam == 1]
-            report = kfold_cv(data.x, data.y, folds, cands, algo, hooi_settings)
-            best_r, best_lam = report.best
-            if algo in ("hopls", "npls"):
-                cfg = FitConfig.uniform(
-                    best_r, best_lam, len(spec.x_shape), len(spec.y_shape)
-                )
-            else:
-                cfg = FitConfig.uniform(best_r, best_lam, len(spec.x_shape))
-            q2[method].append(
-                _refit_and_score(algo, data, cfg, hooi_settings, score_clean)
-            )
-            selected[method].append((best_r, best_lam))
+            algo = algorithm(method, data.y.ndim)
+            cands = grid_candidates(data.x.shape, data.y.shape, r_max, lambda_max, method)
+            report = _read_off(runs.get(algo.fit_name), cands, method)
+            if report is None:
+                report = kfold_cv(data.x, data.y, folds, cands, method, hooi_settings)
+                runs.setdefault(algo.fit_name, (cands, report))
+            cfg = algo.config(*report.best, data.x.ndim, data.y.ndim)
+            model = algo.fit(data.x, data.y, cfg, hooi_settings)
+            q2[method].append(q_squared(data.y_val, algo.predict(model, data.x_val)))
+            selected[method].append(report.best)
     return BenchmarkResult(
         spec=spec,
         repeats=repeats,

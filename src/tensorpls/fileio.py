@@ -13,27 +13,29 @@ their little-endian bytes, so a load/save round trip preserves predictions
 bit-exactly. A sha256 checksum over the canonical serialization (sorted
 keys, no whitespace, checksum field excluded) guards integrity. The same
 model always serializes to the same bytes.
+
+Every model type shares one schema: ``format``, ``version``, the ``algo``
+tag from :data:`tensorpls.regression.ALGORITHMS`, ``checksum``, and one key
+per field of the model's dataclass (nested dataclasses become objects,
+tuples become lists, arrays become ``{"shape", "data"}`` records). Loading
+rebuilds the model from its field annotations and then checks that it is
+internally consistent.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError
-from .regression import (
-    FitConfig,
-    Hopls2Component,
-    Hopls2Model,
-    HoplsComponent,
-    HoplsModel,
-    PlsModel,
-)
+from .regression import ALGORITHMS, STOP_REASONS, algorithm_of
 
 __all__ = [
     "read_tensor",
@@ -46,7 +48,7 @@ __all__ = [
 
 TENSOR_MAGIC = "TEN1"
 MODEL_FORMAT = "tensorpls-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -128,177 +130,71 @@ def _decode_array(obj: dict) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _config_doc(cfg: FitConfig) -> dict:
-    return {
-        "n_components": cfg.n_components,
-        "x_ranks": list(cfg.x_ranks),
-        "y_ranks": list(cfg.y_ranks),
-        "epsilon": cfg.epsilon,
-        "center": cfg.center,
-    }
-
-
-def _config_from_doc(doc: dict) -> FitConfig:
-    return FitConfig(
-        n_components=int(doc["n_components"]),
-        x_ranks=tuple(doc["x_ranks"]),
-        y_ranks=tuple(doc["y_ranks"]),
-        epsilon=doc["epsilon"],
-        center=bool(doc["center"]),
-    )
-
-
 def _canonical_bytes(doc: dict) -> bytes:
     doc = {k: v for k, v in doc.items() if k != "checksum"}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _opt_array(value):
-    return None if value is None else _encode_array(value)
+def _encode(value):
+    """JSON form of a model or of one of its fields."""
+    if isinstance(value, np.ndarray):
+        return _encode_array(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def _opt_decode(value):
-    return None if value is None else _decode_array(value)
+def _decode(obj, hint):
+    """Inverse of :func:`_encode`, steered by the type annotation ``hint``."""
+    if hint is np.ndarray:
+        return _decode_array(obj)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(
+            **{f.name: _decode(obj[f.name], hints[f.name]) for f in dataclasses.fields(hint)}
+        )
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_decode(v, args[0]) for v in obj)
+    if type(None) in args:  # ``T | None``
+        return None if obj is None else _decode(obj, args[0])
+    return hint(obj)
 
 
 def _model_doc(model) -> dict:
-    if isinstance(model, HoplsModel):
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "algo": "hopls",
-            "config": _config_doc(model.config),
-            "x_shape": list(model.x_shape),
-            "y_shape": list(model.y_shape),
-            "x_mean": _opt_array(model.x_mean),
-            "y_mean": _opt_array(model.y_mean),
-            "x_weights": _encode_array(model.x_weights),
-            "y_operator": _encode_array(model.y_operator),
-            "x_residual_norms": list(model.x_residual_norms),
-            "y_residual_norms": list(model.y_residual_norms),
-            "stop_reason": model.stop_reason,
-            "components": [
-                {
-                    "t": _encode_array(c.t),
-                    "x_loadings": [_encode_array(p) for p in c.x_loadings],
-                    "y_loadings": [_encode_array(q) for q in c.y_loadings],
-                    "x_core": _encode_array(c.x_core),
-                    "y_core": _encode_array(c.y_core),
-                }
-                for c in model.components
-            ],
-        }
-    if isinstance(model, Hopls2Model):
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "algo": "hopls2",
-            "config": _config_doc(model.config),
-            "x_shape": list(model.x_shape),
-            "n_responses": model.n_responses,
-            "x_mean": _opt_array(model.x_mean),
-            "y_mean": _opt_array(model.y_mean),
-            "x_weights": _encode_array(model.x_weights),
-            "x_residual_norms": list(model.x_residual_norms),
-            "y_residual_norms": list(model.y_residual_norms),
-            "stop_reason": model.stop_reason,
-            "components": [
-                {
-                    "t": _encode_array(c.t),
-                    "x_loadings": [_encode_array(p) for p in c.x_loadings],
-                    "x_core": _encode_array(c.x_core),
-                    "q": _encode_array(c.q),
-                    "d": c.d,
-                    "u": _encode_array(c.u),
-                }
-                for c in model.components
-            ],
-        }
-    if isinstance(model, PlsModel):
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "algo": "pls",
-            "n_components": model.n_components,
-            "x_weights": _encode_array(model.x_weights),
-            "x_loadings": _encode_array(model.x_loadings),
-            "y_loadings": _encode_array(model.y_loadings),
-            "coefs": _encode_array(model.coefs),
-            "scores": _encode_array(model.scores),
-            "x_mean": _opt_array(model.x_mean),
-            "y_mean": _opt_array(model.y_mean),
-            "x_feature_shape": list(model.x_feature_shape),
-            "y_feature_shape": list(model.y_feature_shape),
-            "x_residual_norms": list(model.x_residual_norms),
-            "y_residual_norms": list(model.y_residual_norms),
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "algo": algorithm_of(model).tag,
+        **_encode(model),
+    }
 
 
 def _model_from_doc(doc: dict):
-    algo = doc.get("algo")
-    if algo == "hopls":
-        return HoplsModel(
-            config=_config_from_doc(doc["config"]),
-            components=tuple(
-                HoplsComponent(
-                    t=_decode_array(c["t"]),
-                    x_loadings=tuple(_decode_array(p) for p in c["x_loadings"]),
-                    y_loadings=tuple(_decode_array(q) for q in c["y_loadings"]),
-                    x_core=_decode_array(c["x_core"]),
-                    y_core=_decode_array(c["y_core"]),
-                )
-                for c in doc["components"]
-            ),
-            x_shape=tuple(doc["x_shape"]),
-            y_shape=tuple(doc["y_shape"]),
-            x_mean=_opt_decode(doc["x_mean"]),
-            y_mean=_opt_decode(doc["y_mean"]),
-            x_weights=_decode_array(doc["x_weights"]),
-            y_operator=_decode_array(doc["y_operator"]),
-            x_residual_norms=tuple(doc["x_residual_norms"]),
-            y_residual_norms=tuple(doc["y_residual_norms"]),
-            stop_reason=doc["stop_reason"],
-        )
-    if algo == "hopls2":
-        return Hopls2Model(
-            config=_config_from_doc(doc["config"]),
-            components=tuple(
-                Hopls2Component(
-                    t=_decode_array(c["t"]),
-                    x_loadings=tuple(_decode_array(p) for p in c["x_loadings"]),
-                    x_core=_decode_array(c["x_core"]),
-                    q=_decode_array(c["q"]),
-                    d=float(c["d"]),
-                    u=_decode_array(c["u"]),
-                )
-                for c in doc["components"]
-            ),
-            x_shape=tuple(doc["x_shape"]),
-            n_responses=int(doc["n_responses"]),
-            x_mean=_opt_decode(doc["x_mean"]),
-            y_mean=_opt_decode(doc["y_mean"]),
-            x_weights=_decode_array(doc["x_weights"]),
-            x_residual_norms=tuple(doc["x_residual_norms"]),
-            y_residual_norms=tuple(doc["y_residual_norms"]),
-            stop_reason=doc["stop_reason"],
-        )
-    if algo == "pls":
-        return PlsModel(
-            n_components=int(doc["n_components"]),
-            x_weights=_decode_array(doc["x_weights"]),
-            x_loadings=_decode_array(doc["x_loadings"]),
-            y_loadings=_decode_array(doc["y_loadings"]),
-            coefs=_decode_array(doc["coefs"]),
-            scores=_decode_array(doc["scores"]),
-            x_mean=_opt_decode(doc["x_mean"]),
-            y_mean=_opt_decode(doc["y_mean"]),
-            x_feature_shape=tuple(doc["x_feature_shape"]),
-            y_feature_shape=tuple(doc["y_feature_shape"]),
-            x_residual_norms=tuple(doc["x_residual_norms"]),
-            y_residual_norms=tuple(doc["y_residual_norms"]),
-        )
-    raise FileFormatError(f"unknown model algo tag {algo!r}")
+    tag = doc.get("algo")
+    if tag not in ALGORITHMS or ALGORITHMS[tag].tag != tag:
+        raise FileFormatError(f"unknown model algo tag {tag!r}")
+    return _decode(doc, ALGORITHMS[tag].model_type)
+
+
+def _check_consistent(model) -> None:
+    """Raise ValueError unless the operators, norms and means agree."""
+    if model.stop_reason not in STOP_REASONS:
+        raise ValueError(f"unknown stop_reason {model.stop_reason!r}")
+    n = model.n_components
+    checks = (
+        ("score operator", model.score_operator.shape, (math.prod(model.x_shape), n)),
+        ("response operator", model.response_operator.shape, (math.prod(model.y_shape), n)),
+        ("x residual norm count", len(model.x_residual_norms), n + 1),
+        ("y residual norm count", len(model.y_residual_norms), n + 1),
+        ("x mean", model.x_shape if model.x_mean is None else model.x_mean.shape, model.x_shape),
+        ("y mean", model.y_shape if model.y_mean is None else model.y_mean.shape, model.y_shape),
+    )
+    for what, got, want in checks:
+        if got != want:
+            raise ValueError(f"{what} is {got}, expected {want}")
 
 
 def save_model(path, model) -> str:
@@ -313,7 +209,11 @@ def save_model(path, model) -> str:
 
 
 def load_model(path):
-    """Read a model file back; verifies the checksum and the format tag."""
+    """Read a model file back.
+
+    Verifies the format tag, the version and the checksum, and that the
+    model is internally consistent; any failure raises FileFormatError.
+    """
     try:
         doc = json.loads(Path(path).read_bytes())
     except OSError as exc:
@@ -329,9 +229,13 @@ def load_model(path):
     if stated != actual:
         raise FileFormatError("model checksum mismatch")
     try:
-        return _model_from_doc(doc)
+        model = _model_from_doc(doc)
+        _check_consistent(model)
+    except FileFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc
+    return model
 
 
 def model_checksum(path) -> str:

@@ -18,12 +18,18 @@ Latent vectors have unit norm, all loading matrices are column-orthonormal,
 and models are immutable after fitting. Mode-0 mean-centering is on by
 default and is undone at prediction time. Deflation subtracts each fitted
 block from the running residuals, so residual norms never increase.
+
+Every model is a linear predictor with two operators: a score operator W
+(X features x R) and a response operator (Y features x R). Prediction is
+``fold((X - x_mean)_(0) W  response_operator^T) + y_mean`` for all of them.
+:data:`ALGORITHMS` is the one table that maps a method name to its fit
+call, its configuration, its lambda range and its model-file tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +51,17 @@ from .tensor import (
 )
 
 __all__ = [
+    "ALGORITHMS",
+    "Algorithm",
     "FitConfig",
     "HoplsComponent",
     "HoplsModel",
     "Hopls2Component",
     "Hopls2Model",
     "PlsModel",
+    "STOP_REASONS",
+    "algorithm",
+    "algorithm_of",
     "center_mode1",
     "fit_hopls",
     "fit_hopls2",
@@ -63,6 +74,10 @@ __all__ = [
 # Relative factor applied to the initial residual norms when FitConfig.epsilon
 # is left unset.
 DEFAULT_EPSILON_FACTOR = 1e-8
+
+# Why extraction ended: every requested component found, a residual norm
+# under epsilon, no shared variance left, or a vanishing core/weight.
+STOP_REASONS = ("completed", "epsilon", "zero_cross_cov", "degenerate_core")
 
 
 @dataclass(frozen=True)
@@ -163,9 +178,8 @@ class HoplsComponent:
 class HoplsModel:
     """Fitted tensor-to-tensor model.
 
-    ``x_weights`` and ``y_operator`` are the assembled prediction operators:
-    latent scores of new data are ``matricize(x_new_centered, 0) @ x_weights``
-    and the matricized prediction is ``scores @ y_operator.T``.
+    The score operator is the paper's W = (P_N (x) ... (x) P_2) G^+ and the
+    response operator (Q_M (x) ... (x) Q_2) D^T, one column per component.
     """
 
     config: FitConfig
@@ -174,8 +188,8 @@ class HoplsModel:
     y_shape: tuple[int, ...]
     x_mean: np.ndarray | None
     y_mean: np.ndarray | None
-    x_weights: np.ndarray
-    y_operator: np.ndarray
+    score_operator: np.ndarray
+    response_operator: np.ndarray
     x_residual_norms: tuple[float, ...]
     y_residual_norms: tuple[float, ...]
     stop_reason: str
@@ -183,11 +197,6 @@ class HoplsModel:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    @property
-    def scores(self) -> np.ndarray:
-        """Training latent vectors as columns (not mutually orthogonal)."""
-        return np.column_stack([c.t for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -197,7 +206,6 @@ class Hopls2Component:
     x_core: np.ndarray
     q: np.ndarray
     d: float
-    u: np.ndarray
 
     def x_block(self) -> np.ndarray:
         return tucker_assemble(self.x_core, (self.t[:, None],) + self.x_loadings)
@@ -210,10 +218,10 @@ class Hopls2Model:
     config: FitConfig
     components: tuple[Hopls2Component, ...]
     x_shape: tuple[int, ...]
-    n_responses: int
+    y_shape: tuple[int, ...]
     x_mean: np.ndarray | None
     y_mean: np.ndarray | None
-    x_weights: np.ndarray
+    score_operator: np.ndarray
     x_residual_norms: tuple[float, ...]
     y_residual_norms: tuple[float, ...]
     stop_reason: str
@@ -223,30 +231,50 @@ class Hopls2Model:
         return len(self.components)
 
     @property
-    def y_loadings(self) -> np.ndarray:
-        return np.column_stack([c.q for c in self.components])
-
-    @property
-    def coefs(self) -> np.ndarray:
-        return np.array([c.d for c in self.components])
+    def response_operator(self) -> np.ndarray:
+        """Columns ``d_r q_r``, derived from the components."""
+        return np.column_stack(
+            [c.d * c.q for c in self.components] or [np.zeros(self.y_shape + (0,))]
+        )
 
 
 @dataclass(frozen=True)
 class PlsModel:
-    """Two-way NIPALS model: X ~ T P^T, Y ~ T D Q^T."""
+    """Two-way NIPALS model: X ~ T P^T, Y ~ T D Q^T.
 
-    n_components: int
+    ``x_shape`` and ``y_shape`` are the trailing shapes of the data it was
+    fitted on; the weights and loadings index their mode-0 unfoldings.
+    """
+
     x_weights: np.ndarray
     x_loadings: np.ndarray
     y_loadings: np.ndarray
     coefs: np.ndarray
-    scores: np.ndarray
+    x_shape: tuple[int, ...]
+    y_shape: tuple[int, ...]
     x_mean: np.ndarray | None
     y_mean: np.ndarray | None
-    x_feature_shape: tuple[int, ...]
-    y_feature_shape: tuple[int, ...]
     x_residual_norms: tuple[float, ...]
     y_residual_norms: tuple[float, ...]
+    stop_reason: str
+
+    @property
+    def n_components(self) -> int:
+        return self.x_weights.shape[1]
+
+    @property
+    def score_operator(self) -> np.ndarray:
+        """R = W (P^T W)^-1, so that the training scores are T = X R.
+
+        P^T W is unit upper triangular, so the leading r columns of R are
+        exactly the r-component model's operator.
+        """
+        pw = self.x_loadings.T @ self.x_weights
+        return np.linalg.solve(pw.T, self.x_weights.T).T
+
+    @property
+    def response_operator(self) -> np.ndarray:
+        return self.y_loadings * self.coefs
 
 
 def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,10 +397,10 @@ def fit_hopls(
         y_shape=y.shape[1:],
         x_mean=x_mean,
         y_mean=y_mean,
-        x_weights=(
+        score_operator=(
             np.hstack(w_cols) if w_cols else np.zeros((n_x_feat, 0))
         ),
-        y_operator=(
+        response_operator=(
             np.hstack(qstar_cols) if qstar_cols else np.zeros((n_y_feat, 0))
         ),
         x_residual_norms=tuple(x_norms),
@@ -452,14 +480,13 @@ def fit_hopls2(
         t = (t_raw / norm_t).ravel()
         t_col = t[:, None]
         g = tucker_contract(e, (t_col,) + ps)
-        u = f @ q
-        d = float(u @ t)
+        d = float((f @ q) @ t)
         e = e - tucker_assemble(g, (t_col,) + ps)
         f = f - d * np.outer(t, q)
         x_norms.append(fro_norm(e))
         y_norms.append(fro_norm(f))
         components.append(
-            Hopls2Component(t=t, x_loadings=ps, x_core=g, q=q, d=d, u=u)
+            Hopls2Component(t=t, x_loadings=ps, x_core=g, q=q, d=d)
         )
         w_cols.append(kron_all(ps[::-1]) @ _row_pinv(matricize(g, 0)))
 
@@ -468,10 +495,10 @@ def fit_hopls2(
         config=cfg,
         components=tuple(components),
         x_shape=x.shape[1:],
-        n_responses=y.shape[1],
+        y_shape=y.shape[1:],
         x_mean=x_mean,
         y_mean=y_mean,
-        x_weights=(
+        score_operator=(
             np.hstack(w_cols) if w_cols else np.zeros((n_x_feat, 0))
         ),
         x_residual_norms=tuple(x_norms),
@@ -490,24 +517,31 @@ def fit_pls_nipals(
 ) -> PlsModel:
     """Two-way PLS via the classical alternating (NIPALS) iteration.
 
+    Tensors of order > 2 are regressed through their mode-0 unfoldings; the
+    model keeps their trailing shapes, so it predicts tensors again.
+
     Per component the inner loop alternates ``w <- X^T u``, ``t <- X w``,
     ``q <- Y^T t``, ``u <- Y q`` (w, q normalized) until the latent vector
     moves less than ``tol`` or ``max_iter`` is hit, then deflates
     ``X -= t p^T`` and ``Y -= d t q^T`` with ``d = u^T t / t^T t``. Scores
     of successive components come out mutually orthogonal.
 
-    Fewer than ``n_components`` may be extractable (exhausted residual);
-    the model records the achieved count.
+    Fewer than ``n_components`` may be extractable; the model records the
+    achieved count and why it stopped (``'epsilon'``: a residual is
+    exhausted; ``'degenerate_core'``: the weight or loading vanished).
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
+    x = astensor(x)
+    y = astensor(y)
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeMismatchError("fit_pls_nipals needs order >= 2 on both sides")
     if x.shape[0] != y.shape[0]:
         raise ShapeMismatchError(
             f"sample counts differ: {x.shape[0]} vs {y.shape[0]}"
         )
     if not np.any(y):
         raise DegenerateDataError("response matrix is all zeros")
-    if not 1 <= n_components <= min(x.shape):
+    n_x_feat = math.prod(x.shape[1:])
+    if not 1 <= n_components <= min(x.shape[0], n_x_feat):
         raise RankError(
             f"n_components={n_components} out of range for X of shape {x.shape}"
         )
@@ -516,8 +550,10 @@ def fit_pls_nipals(
         e, x_mean = center_mode1(x)
         f, y_mean = center_mode1(y)
     else:
-        e, f = x.copy(), y.copy()
+        e, f = x, y
         x_mean = y_mean = None
+    e = matricize(e, 0)
+    f = matricize(f, 0)
 
     x_norms = [fro_norm(e)]
     y_norms = [fro_norm(f)]
@@ -526,9 +562,11 @@ def fit_pls_nipals(
     tiny_x = 1e-12 * max(x_norms[0], 1.0)
     tiny_y = 1e-12 * max(y_norms[0], 1.0)
 
-    ws, ts, p_list, q_list, ds = [], [], [], [], []
+    ws, p_list, q_list, ds = [], [], [], []
+    stop_reason = "completed"
     for _ in range(n_components):
         if x_norms[-1] <= tiny_x or y_norms[-1] <= tiny_y:
+            stop_reason = "epsilon"
             break
         u = f[:, int(np.argmax((f * f).sum(axis=0)))]
         t = np.zeros(e.shape[0])
@@ -555,6 +593,7 @@ def fit_pls_nipals(
             t = t_new
         tt = float(t @ t)
         if degenerate or tt == 0.0:
+            stop_reason = "degenerate_core"
             break
         p = e.T @ t / tt
         d = float(u @ t) / tt
@@ -563,97 +602,151 @@ def fit_pls_nipals(
         x_norms.append(fro_norm(e))
         y_norms.append(fro_norm(f))
         ws.append(w)
-        ts.append(t)
         p_list.append(p)
         q_list.append(q)
         ds.append(d)
 
-    n_found = len(ws)
+    def columns(vectors, rows):
+        return np.column_stack(vectors) if vectors else np.zeros((rows, 0))
+
     return PlsModel(
-        n_components=n_found,
-        x_weights=np.column_stack(ws) if ws else np.zeros((x.shape[1], 0)),
-        x_loadings=np.column_stack(p_list) if p_list else np.zeros((x.shape[1], 0)),
-        y_loadings=np.column_stack(q_list) if q_list else np.zeros((y.shape[1], 0)),
+        x_weights=columns(ws, n_x_feat),
+        x_loadings=columns(p_list, n_x_feat),
+        y_loadings=columns(q_list, f.shape[1]),
         coefs=np.array(ds),
-        scores=np.column_stack(ts) if ts else np.zeros((x.shape[0], 0)),
+        x_shape=x.shape[1:],
+        y_shape=y.shape[1:],
         x_mean=x_mean,
         y_mean=y_mean,
-        x_feature_shape=(x.shape[1],),
-        y_feature_shape=(y.shape[1],),
         x_residual_norms=tuple(x_norms),
         y_residual_norms=tuple(y_norms),
+        stop_reason=stop_reason,
     )
 
 
-def _check_new_x(model_shape: tuple[int, ...], x_new: np.ndarray) -> None:
-    if x_new.shape[1:] != model_shape:
+def _predict(model, x_new, n_components: int | None) -> np.ndarray:
+    """The one prediction path: centre, score, respond, fold, add the mean.
+
+    ``n_components`` restricts to a leading subset: components are extracted
+    sequentially, so the first r columns of both operators *are* the
+    r-component model.
+    """
+    x_new = astensor(x_new)
+    if x_new.shape[1:] != model.x_shape:
         raise ShapeMismatchError(
-            f"new data trailing shape {x_new.shape[1:]} != training {model_shape}"
+            f"new data trailing shape {x_new.shape[1:]} != training {model.x_shape}"
         )
+    r = model.n_components if n_components is None else min(n_components, model.n_components)
+    y_shape = (x_new.shape[0],) + model.y_shape
+    if model.x_mean is not None:
+        x_new = x_new - model.x_mean
+    scores = matricize(x_new, 0) @ model.score_operator[:, :r]
+    # hold no batch-sized temporaries beyond the one being built
+    del x_new
+    y = fold(scores @ model.response_operator[:, :r].T, 0, y_shape)
+    if model.y_mean is not None:
+        y += model.y_mean
+    return y
 
 
 def predict_hopls(
     model: HoplsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
-    """Predict a tensor response for new observations.
-
-    The matricized prediction is ``X_(0) W Q*^T`` built from the stored
-    per-component operators; ``n_components`` restricts to a leading subset
-    (components are extracted sequentially, so the first r components of a
-    larger model *are* the r-component model).
-    """
-    x_new = astensor(x_new)
-    if x_new.ndim != len(model.x_shape) + 1:
-        raise ShapeMismatchError("new data has wrong order")
-    _check_new_x(model.x_shape, x_new)
-    r = model.n_components if n_components is None else min(n_components, model.n_components)
-    if model.x_mean is not None:
-        x_new = x_new - model.x_mean
-    scores = matricize(x_new, 0) @ model.x_weights[:, :r]
-    y_flat = scores @ model.y_operator[:, :r].T
-    y = fold(y_flat, 0, (x_new.shape[0],) + model.y_shape)
-    if model.y_mean is not None:
-        y = y + model.y_mean
-    return y
+    """Predict a tensor response: ``X_(0) W Q*^T`` plus the training mean."""
+    return _predict(model, x_new, n_components)
 
 
 def predict_hopls2(
     model: Hopls2Model, x_new, n_components: int | None = None
 ) -> np.ndarray:
     """Predict a matrix response: ``X_(0) W D Q^T`` plus the training mean."""
-    x_new = astensor(x_new)
-    if x_new.ndim != len(model.x_shape) + 1:
-        raise ShapeMismatchError("new data has wrong order")
-    _check_new_x(model.x_shape, x_new)
-    r = model.n_components if n_components is None else min(n_components, model.n_components)
-    if model.x_mean is not None:
-        x_new = x_new - model.x_mean
-    if r == 0:
-        y = np.zeros((x_new.shape[0], model.n_responses))
-    else:
-        scores = matricize(x_new, 0) @ model.x_weights[:, :r]
-        y = (scores * model.coefs[:r]) @ model.y_loadings[:, :r].T
-    if model.y_mean is not None:
-        y = y + model.y_mean
-    return y
+    return _predict(model, x_new, n_components)
 
 
 def predict_pls(
     model: PlsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
-    """Predict with the two-way model; scores are recovered sequentially."""
-    x_new = as_matrix(x_new)
-    if x_new.shape[1] != model.x_weights.shape[0]:
-        raise ShapeMismatchError(
-            f"new data has {x_new.shape[1]} features, expected {model.x_weights.shape[0]}"
+    """Predict with the two-way model: ``X_(0) R D Q^T`` plus the training mean."""
+    return _predict(model, x_new, n_components)
+
+
+# ---------------------------------------------------------------------------
+# the algorithm table
+
+
+def _fit_pls(x, y, cfg: FitConfig, hooi_settings: HooiSettings) -> PlsModel:
+    # the two-way rank bounds R; a grid over R clamps rather than fails
+    n = min(cfg.n_components, np.shape(x)[0], math.prod(np.shape(x)[1:]))
+    return fit_pls_nipals(x, y, n, center=cfg.center)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One method as the CLI, cross-validation and the benchmark see it.
+
+    ``fit_name`` and ``predict_name`` are looked up in this module at call
+    time, so a rebound module function (a profiler's wrapper, say) is the
+    one every caller reaches.
+    """
+
+    name: str
+    fit_name: str
+    predict_name: str
+    model_type: type
+    tag: str  # model-file tag of the models it fits
+    y_ranked: bool  # the config carries loading counts for Y
+    fixed_lam: int | None = None  # lambda pinned to this value
+    matrix_y: str | None = None  # the entry that runs on a matrix response
+
+    def fit(self, x, y, cfg: FitConfig, hooi_settings: HooiSettings = HooiSettings()):
+        return globals()[self.fit_name](x, y, cfg, hooi_settings)
+
+    def predict(self, model, x_new) -> np.ndarray:
+        return globals()[self.predict_name](model, x_new)
+
+    def config(self, r: int, lam: int, x_order: int, y_order: int, **kwargs) -> FitConfig:
+        """The config of the (R, lambda) cell for data of these orders."""
+        return FitConfig.uniform(
+            r, lam, x_order, y_order if self.y_ranked else None, **kwargs
         )
-    r = model.n_components if n_components is None else min(n_components, model.n_components)
-    e = x_new - model.x_mean if model.x_mean is not None else x_new.copy()
-    y = np.zeros((x_new.shape[0], model.y_loadings.shape[0]))
-    for j in range(r):
-        t = e @ model.x_weights[:, j]
-        e = e - np.outer(t, model.x_loadings[:, j])
-        y += model.coefs[j] * np.outer(t, model.y_loadings[:, j])
-    if model.y_mean is not None:
-        y = y + model.y_mean
-    return y
+
+    def lam_cap(self, x_shape: Sequence[int], y_shape: Sequence[int]) -> int:
+        """Largest lambda that fits every mode carrying loading counts."""
+        if self.fixed_lam is not None:
+            return self.fixed_lam
+        dims = tuple(x_shape[1:]) + (tuple(y_shape[1:]) if self.y_ranked else ())
+        return min(dims)
+
+
+ALGORITHMS = {
+    a.name: a
+    for a in (
+        Algorithm("hopls", "fit_hopls", "predict_hopls", HoplsModel, "hopls",
+                  y_ranked=True, matrix_y="hopls2"),
+        Algorithm("hopls2", "fit_hopls2", "predict_hopls2", Hopls2Model, "hopls2",
+                  y_ranked=False),
+        Algorithm("npls", "fit_hopls", "predict_hopls", HoplsModel, "hopls",
+                  y_ranked=True, fixed_lam=1, matrix_y="hopls2"),
+        Algorithm("pls", "_fit_pls", "predict_pls", PlsModel, "pls",
+                  y_ranked=False, fixed_lam=1),
+    )
+}  # fmt: skip
+
+
+def algorithm(name: str, y_order: int) -> Algorithm:
+    """The entry that runs method ``name`` on a response of order ``y_order``."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algo {name!r}")
+    algo = ALGORITHMS[name]
+    if y_order == 2 and algo.matrix_y is not None:
+        # npls keeps its rank-one blocks in the matrix-response variant
+        return replace(ALGORITHMS[algo.matrix_y], fixed_lam=algo.fixed_lam)
+    return algo
+
+
+def algorithm_of(model) -> Algorithm:
+    """The entry named by the model-file tag of a fitted model."""
+    for algo in ALGORITHMS.values():
+        if type(model) is algo.model_type:
+            return ALGORITHMS[algo.tag]
+    raise TypeError(f"not a fitted model: {type(model).__name__}")

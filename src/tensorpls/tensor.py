@@ -16,8 +16,6 @@ tensor with entries 1..8 laid out row-major, ``matricize(t, 0)`` is::
 This is the ordering under which ``matricize(tucker_assemble(g, [A1..AN]), 0)
 == A1 @ matricize(g, 0) @ kron_all([AN, ..., A2]).T`` and hence the one the
 prediction formulas in :mod:`tensorpls.regression` rely on.
-``vectorize`` on the other hand flattens in the native row-major layout
-(the same order the .ten file format stores).
 """
 
 from __future__ import annotations
@@ -37,13 +35,9 @@ __all__ = [
     "fold",
     "mode_n_product",
     "multi_mode_product",
-    "mode1_vector_product",
-    "inner",
     "fro_norm",
     "cross_cov_mode1",
-    "kron",
     "kron_all",
-    "vectorize",
     "tucker_assemble",
     "tucker_contract",
 ]
@@ -108,7 +102,9 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t)
     _check_mode(t, mode)
-    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
+    # a plain transpose (cheaper than np.moveaxis on the HOOI hot path)
+    axes = (mode,) + tuple(range(mode)) + tuple(range(mode + 1, t.ndim))
+    return t.transpose(axes).reshape((t.shape[mode], -1), order="F")
 
 
 def fold(m: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
@@ -168,30 +164,6 @@ def multi_mode_product(
     return out
 
 
-def mode1_vector_product(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Expand a leading singleton mode against a vector.
-
-    ``g`` has shape (1, I2, ..., IN); the result has shape (len(t), I2, ..., IN)
-    with entries ``g[0, i2, ..., iN] * t[i1]``.
-    """
-    g = np.asarray(g)
-    t = np.asarray(t).ravel()
-    if g.ndim < 1 or g.shape[0] != 1:
-        raise ShapeMismatchError(
-            f"first dimension must be 1, got shape {g.shape}"
-        )
-    return np.multiply.outer(t, g[0])
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of elementwise products; ``inner(a, a)`` is the squared F-norm."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def fro_norm(a: np.ndarray) -> float:
     """Frobenius norm of a tensor of any order."""
     return float(np.linalg.norm(np.asarray(a).ravel()))
@@ -212,11 +184,6 @@ def cross_cov_mode1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.tensordot(x, y, axes=(0, 0))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a list of matrices, left to right."""
     if not matrices:
@@ -225,11 +192,6 @@ def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
     for m in matrices[1:]:
         out = np.kron(out, as_matrix(m))
     return out
-
-
-def vectorize(t: np.ndarray) -> np.ndarray:
-    """Flatten in the native row-major layout (last index fastest)."""
-    return np.asarray(t).reshape(-1).copy()
 
 
 def tucker_assemble(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -105,3 +105,23 @@ def rank_one_block(scale, vectors):
     for v in vectors[1:]:
         out = np.multiply.outer(out, np.asarray(v, dtype=float))
     return scale * out
+
+
+def pls_predict_sequential(model, x, r):
+    """Two-way PLS prediction by deflating the new data one component at a time.
+
+    Each score is read off the current residual, t_j = E_j w_j, which is then
+    deflated, E_{j+1} = E_j - t_j p_j^T; the response accumulates
+    d_j t_j q_j^T. Works on the model's raw weights and loadings only.
+    """
+    e = np.asarray(x, dtype=float)
+    if model.x_mean is not None:
+        e = e - model.x_mean
+    y = np.zeros((e.shape[0], model.y_loadings.shape[0]))
+    for j in range(r):
+        t = e @ model.x_weights[:, j]
+        e = e - np.outer(t, model.x_loadings[:, j])
+        y += model.coefs[j] * np.outer(t, model.y_loadings[:, j])
+    if model.y_mean is not None:
+        y = y + model.y_mean
+    return y

@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 import subprocess
 import sys
@@ -136,6 +138,24 @@ class TestPredictEval:
         assert run(["predict", "--model", str(model_path), "--x", str(xin), "--out", str(out)]) == EXIT_OK
         assert read_tensor(out).shape == (1, 10, 10)
 
+    def test_predict_inconsistent_model_is_parse_error(self, synth_dir, model_path, tmp_path):
+        # a checksum-valid model whose score operator does not fit its shapes
+        doc = json.loads(model_path.read_bytes())
+        bad = np.ones((7, 2))
+        doc["score_operator"] = {
+            "shape": [7, 2],
+            "data": base64.b64encode(bad.tobytes()).decode(),
+        }
+        del doc["checksum"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        doc["checksum"] = hashlib.sha256(canonical).hexdigest()
+        tampered = tmp_path / "tampered.json"
+        tampered.write_bytes(json.dumps(doc).encode())
+        assert run([
+            "predict", "--model", str(tampered), "--x", str(synth_dir / "Xv.ten"),
+            "--out", str(tmp_path / "o.ten"),
+        ]) == EXIT_PARSE
+
     def test_predict_shape_mismatch(self, model_path, tmp_path):
         bad = tmp_path / "bad.ten"
         write_tensor(bad, np.ones((2, 10, 9)))
@@ -239,6 +259,35 @@ class TestFitVariants:
             "--out", str(out),
         ]) == EXIT_OK
         assert read_tensor(out).shape == (5, 2)
+
+    def test_pls_reports_stop_reason(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal((8, 2)) @ rng.standard_normal((2, 12))).reshape(8, 3, 4)
+        y = (x.reshape(8, 12) @ rng.standard_normal((12, 6))).reshape(8, 2, 3)
+        write_tensor(tmp_path / "x.ten", x)
+        write_tensor(tmp_path / "y.ten", y)
+        assert run([
+            "fit", "--algo", "pls", "--x", str(tmp_path / "x.ten"),
+            "--y", str(tmp_path / "y.ten"), "--r", "5", "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_OK
+        assert "achieved=2 stop_reason=epsilon" in capsys.readouterr().out
+
+    def test_pls_rejects_lambda(self, synth_dir, tmp_path):
+        assert run([
+            "fit", "--algo", "pls", "--x", str(synth_dir / "X.ten"),
+            "--y", str(synth_dir / "Y.ten"), "--r", "2", "--lambda", "3",
+            "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_USAGE
+
+    def test_hopls_on_matrix_response_runs_hopls2(self, tmp_path):
+        data_dir = tmp_path / "mr"
+        run(["synth", "--case", "mr", "--snr", "inf", "--seed", "3", "--out-dir", str(data_dir)])
+        model = tmp_path / "h.json"
+        assert run([
+            "fit", "--algo", "hopls", "--x", str(data_dir / "X.ten"),
+            "--y", str(data_dir / "Y.ten"), "--r", "2", "--lambda", "2", "--out", str(model),
+        ]) == EXIT_OK
+        assert json.loads(model.read_bytes())["algo"] == "hopls2"
 
     def test_npls_on_matrix_response(self, tmp_path):
         data_dir = tmp_path / "mr"

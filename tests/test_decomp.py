@@ -142,13 +142,13 @@ class TestHosvd:
         t = np.multiply.outer(np.multiply.outer(vs[0], vs[1]), vs[2])
         out = hosvd(t, (1, 1, 1))
         assert abs(abs(out.core.ravel()[0]) - 1.0) <= 1e-12
-        assert fro_norm(t - out.reconstruct()) <= 1e-12
+        assert fro_norm(t - tucker_assemble(out.core, out.factors)) <= 1e-12
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(8)
         t = rng.standard_normal((3, 4, 5))
         out = hosvd(t, (3, 4, 5))
-        assert fro_norm(t - out.reconstruct()) <= 1e-10 * fro_norm(t)
+        assert fro_norm(t - tucker_assemble(out.core, out.factors)) <= 1e-10 * fro_norm(t)
         for f in out.factors:
             assert_column_orthonormal(f)
 
@@ -156,8 +156,9 @@ class TestHosvd:
         rng = np.random.default_rng(9)
         t = rng.standard_normal((4, 4, 4))
         ranks = (2, 2, 2)
-        err_hosvd = fro_norm(t - hosvd(t, ranks).reconstruct())
-        err_hooi = fro_norm(t - hooi(t, ranks).reconstruct())
+        init, best = hosvd(t, ranks), hooi(t, ranks)
+        err_hosvd = fro_norm(t - tucker_assemble(init.core, init.factors))
+        err_hooi = fro_norm(t - tucker_assemble(best.core, best.factors))
         assert err_hosvd >= err_hooi - 1e-12
         for _ in range(100):
             factors = [rand_orth(rng, 4, 2) for _ in range(3)]
@@ -175,7 +176,7 @@ class TestHooi:
         factors = [rand_orth(rng, d, 2) for d in (6, 5, 4)]
         t = tucker_assemble(core, factors)
         out = hooi(t, (2, 2, 2))
-        assert fro_norm(t - out.reconstruct()) <= 1e-10 * fro_norm(t)
+        assert fro_norm(t - tucker_assemble(out.core, out.factors)) <= 1e-10 * fro_norm(t)
         assert out.converged
         # history holds the init value plus one entry per sweep
         assert len(out.objective_history) - 1 <= 5
@@ -184,7 +185,7 @@ class TestHooi:
         rng = np.random.default_rng(11)
         t = rng.standard_normal((3, 4, 3))
         out = hooi(t, (3, 4, 3))
-        assert fro_norm(t - out.reconstruct()) <= 1e-10 * fro_norm(t)
+        assert fro_norm(t - tucker_assemble(out.core, out.factors)) <= 1e-10 * fro_norm(t)
 
     def test_improves_on_hosvd_init(self):
         rng = np.random.default_rng(12)
@@ -216,7 +217,7 @@ class TestHooi:
         rng = np.random.default_rng(15)
         t = rng.standard_normal((5, 4, 4))
         out = hooi(t, (2, 3, 2))
-        lhs = fro_norm(t - out.reconstruct()) ** 2 + fro_norm(out.core) ** 2
+        lhs = fro_norm(t - tucker_assemble(out.core, out.factors)) ** 2 + fro_norm(out.core) ** 2
         assert lhs == pytest.approx(fro_norm(t) ** 2, rel=1e-8)
 
     def test_deterministic(self):
@@ -251,5 +252,3 @@ class TestHooi:
             HooiSettings(max_iters=0)
         with pytest.raises(ValueError):
             HooiSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            HooiSettings(deterministic_init=False)

@@ -243,6 +243,20 @@ class TestBenchmark:
         b = benchmark_case(spec, repeats=1, r_max=2, lambda_max=2, hooi_settings=FAST)
         assert a.q2 == b.q2 and a.selected == b.selected
 
+    @pytest.mark.parametrize("case", ["2t", "2m"])
+    def test_npls_read_off_hopls_matches_own_cv(self, case):
+        # after HOPLS, N-PLS takes its grid from HOPLS's lambda = 1 column
+        spec = SynthSpec.from_case(case, 0.0, seed=12)
+        both = benchmark_case(
+            spec, repeats=2, r_max=4, lambda_max=3, methods=("hopls", "npls"),
+            hooi_settings=FAST,
+        )
+        alone = benchmark_case(
+            spec, repeats=2, r_max=4, lambda_max=3, methods=("npls",), hooi_settings=FAST
+        )
+        assert both.q2["npls"] == alone.q2["npls"]
+        assert both.selected["npls"] == alone.selected["npls"]
+
     def test_matrix_response_dispatch(self):
         spec = SynthSpec.from_case("mr", math.inf, seed=3)
         res = benchmark_case(spec, repeats=1, r_max=3, lambda_max=3, hooi_settings=FAST)

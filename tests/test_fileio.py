@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 
 import numpy as np
@@ -5,20 +7,19 @@ import pytest
 
 from blocks import separated_block_data
 from tensorpls import (
+    ALGORITHMS,
     FileFormatError,
     FitConfig,
     fit_hopls,
     fit_hopls2,
-    fit_pls_nipals,
     load_model,
-    predict_hopls,
-    predict_hopls2,
-    predict_pls,
     read_tensor,
     save_model,
     write_tensor,
 )
+from tensorpls.cli import main as cli_main
 from tensorpls.fileio import model_checksum
+from tensorpls.regression import algorithm
 
 
 class TestTensorFile:
@@ -93,63 +94,61 @@ class TestTensorFile:
 
 
 @pytest.fixture(scope="module")
-def fitted_models():
+def block_data():
     rng = np.random.default_rng(0)
-    data = separated_block_data(rng, 12, (6, 5), (5, 4), 2, (2, 2), (2, 2))
-    hopls = fit_hopls(data.x, data.y, FitConfig(2, (2, 2), (2, 2)))
-    y2 = data.y[:, :, 0]
-    hopls2 = fit_hopls2(data.x, y2, FitConfig(2, (2, 2)))
-    pls = fit_pls_nipals(
-        data.x.reshape(12, -1), y2, 3
-    )
-    return data, hopls, hopls2, pls
+    return separated_block_data(rng, 12, (6, 5), (5, 4), 2, (2, 2), (2, 2))
+
+
+@pytest.fixture(scope="module")
+def hopls_model(block_data):
+    return fit_hopls(block_data.x, block_data.y, FitConfig(2, (2, 2), (2, 2)))
 
 
 class TestModelFile:
-    def test_hopls_round_trip_predictions(self, tmp_path, fitted_models):
-        data, model, *_ = fitted_models
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_round_trip_predictions(self, tmp_path, block_data, name):
+        # hopls2 takes a matrix response, every other entry the tensor one
+        y = block_data.y[:, :, 0] if name == "hopls2" else block_data.y
+        algo = algorithm(name, y.ndim)
+        lam = algo.fixed_lam or 2
+        model = algo.fit(block_data.x, y, algo.config(2, lam, 3, y.ndim))
         path = tmp_path / "m.json"
         save_model(path, model)
-        back = load_model(path)
-        a = predict_hopls(model, data.x_val)
-        b = predict_hopls(back, data.x_val)
-        assert (a == b).all()
+        assert json.loads(path.read_bytes())["algo"] == algo.tag
+        direct = algo.predict(model, block_data.x_val)
+        assert (algo.predict(load_model(path), block_data.x_val) == direct).all()
 
-    def test_hopls2_round_trip_predictions(self, tmp_path, fitted_models):
-        data, _, model, _ = fitted_models
-        path = tmp_path / "m.json"
-        save_model(path, model)
-        back = load_model(path)
-        assert (predict_hopls2(model, data.x_val) == predict_hopls2(back, data.x_val)).all()
+        files = {"x": tmp_path / "x.ten", "y": tmp_path / "y.ten", "xv": tmp_path / "xv.ten"}
+        for key, arr in (("x", block_data.x), ("y", y), ("xv", block_data.x_val)):
+            write_tensor(files[key], arr)
+        lam_args = [] if algo.fixed_lam else ["--lambda", str(lam)]
+        assert cli_main([
+            "fit", "--algo", name, "--x", str(files["x"]), "--y", str(files["y"]),
+            "--r", "2", *lam_args, "--out", str(tmp_path / "cli.json"),
+        ]) == 0
+        assert cli_main([
+            "predict", "--model", str(tmp_path / "cli.json"), "--x", str(files["xv"]),
+            "--out", str(tmp_path / "pred.ten"),
+        ]) == 0
+        assert (read_tensor(tmp_path / "pred.ten") == direct).all()
 
-    def test_pls_round_trip_predictions(self, tmp_path, fitted_models):
-        data, *_, model = fitted_models
-        path = tmp_path / "m.json"
-        save_model(path, model)
-        back = load_model(path)
-        x2 = data.x_val.reshape(12, -1)
-        assert (predict_pls(model, x2) == predict_pls(back, x2)).all()
-
-    def test_save_is_deterministic(self, tmp_path, fitted_models):
-        _, model, *_ = fitted_models
-        save_model(tmp_path / "a.json", model)
-        save_model(tmp_path / "b.json", model)
+    def test_save_is_deterministic(self, tmp_path, hopls_model):
+        save_model(tmp_path / "a.json", hopls_model)
+        save_model(tmp_path / "b.json", hopls_model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_checksum_detects_corruption(self, tmp_path, fitted_models):
-        _, model, *_ = fitted_models
+    def test_checksum_detects_corruption(self, tmp_path, hopls_model):
         path = tmp_path / "m.json"
-        save_model(path, model)
+        save_model(path, hopls_model)
         doc = json.loads(path.read_bytes())
         doc["x_shape"] = [9, 9]
         path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
         with pytest.raises(FileFormatError, match="checksum"):
             load_model(path)
 
-    def test_checksum_matches_stated(self, tmp_path, fitted_models):
-        _, model, *_ = fitted_models
+    def test_checksum_matches_stated(self, tmp_path, hopls_model):
         path = tmp_path / "m.json"
-        stated = save_model(path, model)
+        stated = save_model(path, hopls_model)
         assert model_checksum(path) == stated
 
     def test_rejects_non_model_json(self, tmp_path):
@@ -158,11 +157,53 @@ class TestModelFile:
         with pytest.raises(FileFormatError):
             load_model(path)
 
-    def test_config_echo_preserved(self, tmp_path, fitted_models):
-        _, model, *_ = fitted_models
+    def test_config_echo_preserved(self, tmp_path, hopls_model):
+        path = tmp_path / "m.json"
+        save_model(path, hopls_model)
+        back = load_model(path)
+        assert back.config == hopls_model.config
+        assert back.stop_reason == hopls_model.stop_reason
+        assert back.x_residual_norms == hopls_model.x_residual_norms
+
+
+def rewrite_model(path, edit):
+    """Apply ``edit`` to a saved model document and re-seal its checksum."""
+    doc = json.loads(path.read_bytes())
+    edit(doc)
+    doc.pop("checksum")
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    doc["checksum"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+
+
+def array_record(arr):
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+
+
+class TestModelConsistency:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(score_operator=array_record(np.ones((7, 2)))),
+            lambda d: d.update(response_operator=array_record(np.ones((20, 1)))),
+            lambda d: d.update(x_residual_norms=d["x_residual_norms"][:-1]),
+            lambda d: d.update(stop_reason="tired"),
+            lambda d: d.update(y_mean=array_record(np.ones(3))),
+            lambda d: d.update(algo="npls"),
+        ],
+        ids=["score_operator", "response_operator", "norm_count", "stop_reason", "y_mean", "tag"],
+    )
+    def test_inconsistent_model_is_rejected(self, tmp_path, hopls_model, edit):
+        path = tmp_path / "m.json"
+        save_model(path, hopls_model)
+        rewrite_model(path, edit)
+        with pytest.raises(FileFormatError):
+            load_model(path)
+
+    def test_derived_response_operator_is_checked(self, tmp_path, block_data):
+        model = fit_hopls2(block_data.x, block_data.y[:, :, 0], FitConfig(2, (2, 2)))
         path = tmp_path / "m.json"
         save_model(path, model)
-        back = load_model(path)
-        assert back.config == model.config
-        assert back.stop_reason == model.stop_reason
-        assert back.x_residual_norms == model.x_residual_norms
+        rewrite_model(path, lambda d: d["components"][1].update(q=array_record(np.ones(3))))
+        with pytest.raises(FileFormatError):
+            load_model(path)

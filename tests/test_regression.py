@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from blocks import orthonormal, separated_block_data
-from oracles import rank_one_block
+from oracles import pls_predict_sequential, rank_one_block
 from tensorpls import (
     DegenerateDataError,
     FitConfig,
@@ -127,7 +127,8 @@ class TestPlsNipals:
         x = rng.standard_normal((10, 7))
         y = rng.standard_normal((10, 3))
         model = fit_pls_nipals(x, y, 5)
-        gram = model.scores.T @ model.scores
+        scores = (x - model.x_mean) @ model.score_operator
+        gram = scores.T @ scores
         off = np.abs(gram - np.diag(np.diag(gram))).max()
         assert off <= 1e-8 * np.diag(gram).max()
 
@@ -156,6 +157,39 @@ class TestPlsNipals:
         model = fit_pls_nipals(x, y, 5, center=False)
         assert model.n_components <= 3
         assert predict_pls(model, x).shape == y.shape
+
+    def test_stop_reason(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))  # rank 2
+        y = x @ rng.standard_normal((5, 2))
+        model = fit_pls_nipals(x, y, 5)
+        assert (model.n_components, model.stop_reason) == (2, "epsilon")
+        model = fit_pls_nipals(x, y, 2)
+        assert (model.n_components, model.stop_reason) == (2, "completed")
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_prefix_predictions_match_sequential_oracle(self, center):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((14, 9))
+        y = x @ rng.standard_normal((9, 4)) + 0.3 * rng.standard_normal((14, 4))
+        x_new = rng.standard_normal((6, 9))
+        model = fit_pls_nipals(x, y, 7, center=center)
+        assert model.n_components == 7
+        for r in range(model.n_components + 1):
+            want = pls_predict_sequential(model, x_new, r)
+            got = predict_pls(model, x_new, n_components=r)
+            assert fro_norm(got - want) <= 1e-12 * fro_norm(want)
+
+    def test_tensor_data_is_regressed_through_unfoldings(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((10, 3, 4))
+        y = rng.standard_normal((10, 2, 3))
+        x_new = rng.standard_normal((5, 3, 4))
+        model = fit_pls_nipals(x, y, 4)
+        assert (model.x_shape, model.y_shape) == ((3, 4), (2, 3))
+        flat = fit_pls_nipals(matricize(x, 0), matricize(y, 0), 4)
+        want = predict_pls(flat, matricize(x_new, 0))
+        np.testing.assert_allclose(matricize(predict_pls(model, x_new), 0), want, rtol=0, atol=1e-12)
 
 
 class TestFitHopls:
@@ -368,7 +402,6 @@ class TestFitHopls2:
         for comp in model.components:
             assert np.linalg.norm(comp.t) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(comp.q) == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(comp.u, comp.d * comp.t, atol=1e-6)
         assert (np.diff(model.x_residual_norms) <= 1e-12).all()
         assert (np.diff(model.y_residual_norms) <= 1e-12).all()
 
@@ -398,7 +431,7 @@ class TestPredictHopls2:
         x, *_ , model = hopls2_block_fit
         pred = predict_hopls2(model, x, n_components=1)
         comp = model.components[0]
-        scores = matricize(x, 0) @ model.x_weights[:, 0]
+        scores = matricize(x, 0) @ model.score_operator[:, 0]
         by_hand = np.zeros_like(pred)
         for i in range(x.shape[0]):
             for j in range(len(comp.q)):

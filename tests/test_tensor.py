@@ -16,14 +16,10 @@ from tensorpls import (
     cross_cov_mode1,
     fold,
     fro_norm,
-    inner,
-    kron,
     kron_all,
     matricize,
-    mode1_vector_product,
     mode_n_product,
     tucker_assemble,
-    vectorize,
 )
 
 # The worked 2x2x2 example: entry (i, j, k) = 1 + i + 2j + 4k (0-based).
@@ -176,54 +172,27 @@ class TestModeNProduct:
 
 
 class TestMode1VectorProduct:
+    # G x_1 t for a singleton first mode: mode_n_product with t as a column,
+    # the form the regression deflation uses
     def test_unit_vector_places_slice(self):
         rng = np.random.default_rng(1)
         g = rng.standard_normal((1, 3, 2))
-        e1 = np.array([1.0, 0.0, 0.0])
-        out = mode1_vector_product(g, e1)
+        e1 = np.array([[1.0], [0.0], [0.0]])
+        out = mode_n_product(g, e1, 0)
         np.testing.assert_array_equal(out[0], g[0])
         assert not out[1:].any()
 
     def test_scalar_case(self):
-        out = mode1_vector_product(np.array([2.0]).reshape(1), np.array([1.0, 3.0]))
+        out = mode_n_product(np.array([2.0]), np.array([[1.0], [3.0]]), 0)
         np.testing.assert_array_equal(out, [2.0, 6.0])
 
     def test_zero_vector(self):
         g = np.ones((1, 2, 2))
-        assert not mode1_vector_product(g, np.zeros(4)).any()
+        assert not mode_n_product(g, np.zeros((4, 1)), 0).any()
 
     def test_requires_singleton_first_mode(self):
         with pytest.raises(ShapeMismatchError):
-            mode1_vector_product(np.ones((2, 2)), np.ones(3))
-
-
-class TestInner:
-    def test_self_inner_is_squared_norm(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 4, 2))
-        assert inner(a, a) == pytest.approx(fro_norm(a) ** 2, rel=1e-12)
-
-    def test_zero(self):
-        a = np.ones((2, 2))
-        assert inner(a, np.zeros_like(a)) == 0.0
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.eye(2)
-        assert inner(a, b) == 5.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            inner(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_norm_preserved_by_orthogonal_rotation(self):
-        rng = np.random.default_rng(3)
-        t = rng.standard_normal((4, 5, 3))
-        s = rng.standard_normal((4, 5, 3))
-        q = rand_orth(rng, 5, 5)
-        rot_t = mode_n_product(t, q, 1)
-        rot_s = mode_n_product(s, q, 1)
-        assert inner(rot_t, rot_s) == pytest.approx(inner(t, s), rel=1e-12)
+            mode_n_product(np.ones((2, 2)), np.ones((3, 1)), 0)
 
 
 class TestCrossCov:
@@ -261,39 +230,24 @@ class TestCrossCov:
 
 class TestKron:
     def test_identities(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+        np.testing.assert_array_equal(kron_all([np.eye(2), np.eye(3)]), np.eye(6))
 
     def test_hand_example(self):
-        out = kron(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        out = kron_all([np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])])
         np.testing.assert_array_equal(out, [[3.0, 6.0], [4.0, 8.0]])
         np.testing.assert_array_equal(
             out, kron_loops(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         )
 
     def test_zero(self):
-        assert not kron(np.ones((2, 2)), np.zeros((2, 2))).any()
+        assert not kron_all([np.ones((2, 2)), np.zeros((2, 2))]).any()
 
     def test_orthonormality_preserved(self):
         rng = np.random.default_rng(9)
         a = rand_orth(rng, 5, 2)
         b = rand_orth(rng, 4, 3)
-        k = kron(a, b)
+        k = kron_all([a, b])
         np.testing.assert_allclose(k.T @ k, np.eye(6), atol=1e-12)
-
-
-class TestVectorize:
-    def test_single_element(self):
-        np.testing.assert_array_equal(vectorize(astensor([4.0])), [4.0])
-
-    def test_reshape_round_trip(self):
-        rng = np.random.default_rng(10)
-        t = rng.standard_normal((2, 3, 4))
-        assert (vectorize(t).reshape(t.shape) == t).all()
-
-    def test_cube_is_permutation_with_norm(self):
-        v = vectorize(CUBE)
-        assert sorted(v) == list(range(1, 9))
-        assert fro_norm(v) ** 2 == pytest.approx(204.0)
 
 
 class TestTuckerOps:
