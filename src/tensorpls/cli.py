@@ -118,7 +118,7 @@ def _cmd_synth(args) -> int:
         "snr_db_requested": _snr_json(spec.snr_db),
         "snr_db_realized_x": _snr_json(data.snr_x_db),
         "snr_db_realized_y": _snr_json(data.snr_y_db),
-        "noiseless": math.isinf(spec.snr_db) or spec.kind == "matrix-response",
+        "noiseless": math.isinf(spec.snr_db),
         "files": sorted(files),
     }
     write_json(out / "manifest.json", manifest)
@@ -135,6 +135,10 @@ def _cmd_synth(args) -> int:
 def _fit_config_from_args(args, algo: Algorithm, x: np.ndarray, y: np.ndarray) -> FitConfig:
     if args.lam is not None and args.l is not None:
         raise _UsageError("--lambda and --l are mutually exclusive")
+    if args.k is not None and (args.l is None or not algo.y_ranked):
+        raise _UsageError(
+            "--k sets Y loading counts: only hopls on a tensor response takes it, with --l"
+        )
     kwargs = {"epsilon": args.epsilon, "center": not args.no_center}
     lam = args.lam
     if algo.fixed_lam is not None:
@@ -145,7 +149,7 @@ def _fit_config_from_args(args, algo: Algorithm, x: np.ndarray, y: np.ndarray) -
         lam = algo.fixed_lam
     elif args.l is not None:
         x_ranks = _parse_int_list(args.l)
-        y_ranks = _parse_int_list(args.k) if args.k else x_ranks[: y.ndim - 1]
+        y_ranks = _parse_int_list(args.k) if args.k is not None else x_ranks[: y.ndim - 1]
         return FitConfig(args.r, x_ranks, y_ranks if algo.y_ranked else (), **kwargs)
     if lam is None:
         raise _UsageError(f"{args.algo} needs --lambda or --l")

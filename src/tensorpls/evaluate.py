@@ -10,7 +10,7 @@ pairs at a controlled signal-to-noise ratio:
   sharing the latent matrix on mode 0; validation refreshes the latent
   matrix only.
 * ``matrix-response`` — a 4-way N(0,1) predictor with an exactly linear
-  matrix response Y = X_(0) W (noise-free by construction).
+  clean matrix response Y = X_(0) W.
 
 SNR is defined globally: ``snr_db = 10 log10(|clean|_F^2 / |noise|_F^2)``,
 and the noise draw is scaled to hit the requested level exactly.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .decomp import HooiSettings
 from .errors import DegenerateDataError, ShapeMismatchError
-from .regression import ALGORITHMS, Algorithm, FitConfig, algorithm
+from .regression import Algorithm, FitConfig, algorithm
 from .tensor import astensor, fro_norm, matricize, tucker_assemble
 
 __all__ = [
@@ -54,10 +54,7 @@ __all__ = [
     "kfold_cv",
     "BenchmarkResult",
     "benchmark_case",
-    "ALGOS",
 ]
-
-ALGOS = tuple(ALGORITHMS)
 
 CASE_SHAPES = {
     # case tag -> (kind, x_shape, y_shape, loading_dist)
@@ -249,23 +246,10 @@ def _add_noise(
     return noisy, realized
 
 
-def gen_matrix_structured(spec: SynthSpec) -> SynthData:
-    """X = T P^T + noise, Y = T Q^T + noise, reshaped row-major to tensors."""
-    if spec.kind != "matrix-structured":
-        raise ValueError("spec.kind must be matrix-structured")
-    rng = _struct_rng(spec)
-    k = spec.n_latent
-    n = spec.x_shape[0]
-    px = math.prod(spec.x_shape[1:])
-    py = math.prod(spec.y_shape[1:])
-    p = _draw_loading(rng, (px, k), spec.loading_dist)
-    q = _draw_loading(rng, (py, k), spec.loading_dist)
-    t_cal = rng.standard_normal((n, k))
-    t_val = rng.standard_normal((n, k))
-    x_clean = astensor(t_cal @ p.T, spec.x_shape)
-    y_clean = astensor(t_cal @ q.T, spec.y_shape)
-    x_val_clean = astensor(t_val @ p.T, spec.x_shape)
-    y_val_clean = astensor(t_val @ q.T, spec.y_shape)
+def _noisy_data(
+    spec: SynthSpec, x_clean, y_clean, x_val_clean, y_val_clean, coef=None
+) -> SynthData:
+    """Add noise at ``spec.snr_db`` to both pairs (one stream, fixed order)."""
     nrng = _noise_rng(spec)
     x, snr_x = _add_noise(x_clean, spec.snr_db, nrng)
     y, snr_y = _add_noise(y_clean, spec.snr_db, nrng)
@@ -283,6 +267,29 @@ def gen_matrix_structured(spec: SynthSpec) -> SynthData:
         y_val_clean=y_val_clean,
         snr_x_db=snr_x,
         snr_y_db=snr_y,
+        coef=coef,
+    )
+
+
+def gen_matrix_structured(spec: SynthSpec) -> SynthData:
+    """X = T P^T + noise, Y = T Q^T + noise, reshaped row-major to tensors."""
+    if spec.kind != "matrix-structured":
+        raise ValueError("spec.kind must be matrix-structured")
+    rng = _struct_rng(spec)
+    k = spec.n_latent
+    n = spec.x_shape[0]
+    px = math.prod(spec.x_shape[1:])
+    py = math.prod(spec.y_shape[1:])
+    p = _draw_loading(rng, (px, k), spec.loading_dist)
+    q = _draw_loading(rng, (py, k), spec.loading_dist)
+    t_cal = rng.standard_normal((n, k))
+    t_val = rng.standard_normal((n, k))
+    return _noisy_data(
+        spec,
+        astensor(t_cal @ p.T, spec.x_shape),
+        astensor(t_cal @ q.T, spec.y_shape),
+        astensor(t_val @ p.T, spec.x_shape),
+        astensor(t_val @ q.T, spec.y_shape),
     )
 
 
@@ -305,34 +312,19 @@ def gen_tucker_structured(spec: SynthSpec) -> SynthData:
     d_core = rng.standard_normal((k,) + ry)
     t_cal = rng.standard_normal((n, k))
     t_val = rng.standard_normal((n, k))
-    x_clean = tucker_assemble(g, [t_cal] + ps)
-    y_clean = tucker_assemble(d_core, [t_cal] + qs)
-    x_val_clean = tucker_assemble(g, [t_val] + ps)
-    y_val_clean = tucker_assemble(d_core, [t_val] + qs)
-    nrng = _noise_rng(spec)
-    x, snr_x = _add_noise(x_clean, spec.snr_db, nrng)
-    y, snr_y = _add_noise(y_clean, spec.snr_db, nrng)
-    x_val, _ = _add_noise(x_val_clean, spec.snr_db, nrng)
-    y_val, _ = _add_noise(y_val_clean, spec.snr_db, nrng)
-    return SynthData(
-        spec=spec,
-        x=x,
-        y=y,
-        x_clean=x_clean,
-        y_clean=y_clean,
-        x_val=x_val,
-        y_val=y_val,
-        x_val_clean=x_val_clean,
-        y_val_clean=y_val_clean,
-        snr_x_db=snr_x,
-        snr_y_db=snr_y,
+    return _noisy_data(
+        spec,
+        tucker_assemble(g, [t_cal] + ps),
+        tucker_assemble(d_core, [t_cal] + qs),
+        tucker_assemble(g, [t_val] + ps),
+        tucker_assemble(d_core, [t_val] + qs),
     )
 
 
 def gen_matrix_response(spec: SynthSpec) -> SynthData:
-    """4-way N(0,1) predictor, exactly linear matrix response Y = X_(0) W.
+    """4-way N(0,1) predictor, exactly linear clean response Y = X_(0) W.
 
-    Noise-free by construction; ``snr_db`` is ignored for this kind.
+    Noise at ``snr_db`` is added to all four tensors as for the other kinds.
     """
     if spec.kind != "matrix-response":
         raise ValueError("spec.kind must be matrix-response")
@@ -340,21 +332,8 @@ def gen_matrix_response(spec: SynthSpec) -> SynthData:
     w = rng.standard_normal((math.prod(spec.x_shape[1:]), spec.y_shape[1]))
     x = rng.standard_normal(spec.x_shape)
     x_val = rng.standard_normal(spec.x_shape)
-    y = matricize(x, 0) @ w
-    y_val = matricize(x_val, 0) @ w
-    return SynthData(
-        spec=spec,
-        x=x,
-        y=y,
-        x_clean=x.copy(),
-        y_clean=y.copy(),
-        x_val=x_val,
-        y_val=y_val,
-        x_val_clean=x_val.copy(),
-        y_val_clean=y_val.copy(),
-        snr_x_db=math.inf,
-        snr_y_db=math.inf,
-        coef=w,
+    return _noisy_data(
+        spec, x, matricize(x, 0) @ w, x_val, matricize(x_val, 0) @ w, coef=w
     )
 
 

@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import typing
 from pathlib import Path
 
@@ -66,16 +67,32 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a TEN1 tensor file; any malformation raises FileFormatError."""
+    """Read a TEN1 tensor file; any malformation raises FileFormatError.
+
+    The payload is read once, straight into the returned array.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            dims = _parse_header(fh.readline())
+            expected = 8 * math.prod(dims)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != expected:
+                raise FileFormatError(f"payload is {size} bytes, expected {expected}")
+            arr = np.fromfile(fh, dtype="<f8", count=math.prod(dims))
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    nl = raw.find(b"\n")
-    if nl < 0:
+    arr = arr.astype(np.float64, copy=False).reshape(dims)
+    if not np.isfinite(arr).all():
+        raise FileFormatError("payload contains non-finite entries")
+    return arr
+
+
+def _parse_header(line: bytes) -> tuple[int, ...]:
+    """The dims of a TEN1 header line (newline included)."""
+    if not line.endswith(b"\n"):
         raise FileFormatError("missing header line")
     try:
-        header = raw[:nl].decode("ascii")
+        header = line[:-1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FileFormatError("header is not ASCII") from exc
     fields = header.split(" ")
@@ -95,16 +112,7 @@ def read_tensor(path) -> np.ndarray:
         raise FileFormatError(f"malformed header: {header!r}") from exc
     if order != len(dims) or order < 1 or any(d < 1 for d in dims):
         raise FileFormatError(f"inconsistent order/dims in header: {header!r}")
-    payload = raw[nl + 1 :]
-    expected = 8 * math.prod(dims)
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"payload is {len(payload)} bytes, expected {expected}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-    if not np.isfinite(arr).all():
-        raise FileFormatError("payload contains non-finite entries")
-    return arr
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ An N-PLS-style baseline is the all-ranks-one configuration of
 :func:`fit_hopls` (``FitConfig.uniform(..., 1)``); the rank-one blocks it
 produces are plain outer products.
 
+All three run one deflation loop (:func:`_deflate`): centre, extract one
+component from the running residuals, subtract its fitted block from both,
+and stop when a residual is used up (under epsilon, exactly zero) or the
+requested count is reached. Only the per-component step differs, and every
+model shares the fields of :class:`FittedModel`.
+
 Latent vectors have unit norm, all loading matrices are column-orthonormal,
 and models are immutable after fitting. Mode-0 mean-centering is on by
-default and is undone at prediction time. Deflation subtracts each fitted
-block from the running residuals, so residual norms never increase.
+default and is undone at prediction time. Residual norms never increase.
 
 Every model is a linear predictor with two operators: a score operator W
 (X features x R) and a response operator (Y features x R). Prediction is
@@ -54,6 +59,7 @@ __all__ = [
     "ALGORITHMS",
     "Algorithm",
     "FitConfig",
+    "FittedModel",
     "HoplsComponent",
     "HoplsModel",
     "Hopls2Component",
@@ -74,6 +80,11 @@ __all__ = [
 # Relative factor applied to the initial residual norms when FitConfig.epsilon
 # is left unset.
 DEFAULT_EPSILON_FACTOR = 1e-8
+
+# NIPALS inner loop: stop when the latent vector moves less than NIPALS_TOL,
+# or after NIPALS_MAX_ITER alternations.
+NIPALS_TOL = 1e-10
+NIPALS_MAX_ITER = 500
 
 # Why extraction ended: every requested component found, a residual norm
 # under epsilon, no shared variance left, or a vanishing core/weight.
@@ -158,6 +169,24 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class FittedModel:
+    """The fields every fitted model shares.
+
+    ``x_shape``/``y_shape`` are the trailing (non-sample) shapes of the
+    training data, the means are None when fitted uncentred, and the
+    residual norms hold the initial norm plus one entry per component.
+    """
+
+    x_shape: tuple[int, ...]
+    y_shape: tuple[int, ...]
+    x_mean: np.ndarray | None
+    y_mean: np.ndarray | None
+    x_residual_norms: tuple[float, ...]
+    y_residual_norms: tuple[float, ...]
+    stop_reason: str
+
+
+@dataclass(frozen=True)
 class HoplsComponent:
     """One extracted block: latent vector, per-mode loadings, both cores."""
 
@@ -175,7 +204,7 @@ class HoplsComponent:
 
 
 @dataclass(frozen=True)
-class HoplsModel:
+class HoplsModel(FittedModel):
     """Fitted tensor-to-tensor model.
 
     The score operator is the paper's W = (P_N (x) ... (x) P_2) G^+ and the
@@ -184,15 +213,8 @@ class HoplsModel:
 
     config: FitConfig
     components: tuple[HoplsComponent, ...]
-    x_shape: tuple[int, ...]
-    y_shape: tuple[int, ...]
-    x_mean: np.ndarray | None
-    y_mean: np.ndarray | None
     score_operator: np.ndarray
     response_operator: np.ndarray
-    x_residual_norms: tuple[float, ...]
-    y_residual_norms: tuple[float, ...]
-    stop_reason: str
 
     @property
     def n_components(self) -> int:
@@ -212,19 +234,12 @@ class Hopls2Component:
 
 
 @dataclass(frozen=True)
-class Hopls2Model:
+class Hopls2Model(FittedModel):
     """Fitted tensor-to-matrix model: Y ~ sum_r d_r * t_r q_r^T."""
 
     config: FitConfig
     components: tuple[Hopls2Component, ...]
-    x_shape: tuple[int, ...]
-    y_shape: tuple[int, ...]
-    x_mean: np.ndarray | None
-    y_mean: np.ndarray | None
     score_operator: np.ndarray
-    x_residual_norms: tuple[float, ...]
-    y_residual_norms: tuple[float, ...]
-    stop_reason: str
 
     @property
     def n_components(self) -> int:
@@ -233,13 +248,11 @@ class Hopls2Model:
     @property
     def response_operator(self) -> np.ndarray:
         """Columns ``d_r q_r``, derived from the components."""
-        return np.column_stack(
-            [c.d * c.q for c in self.components] or [np.zeros(self.y_shape + (0,))]
-        )
+        return _columns([c.d * c.q for c in self.components], math.prod(self.y_shape))
 
 
 @dataclass(frozen=True)
-class PlsModel:
+class PlsModel(FittedModel):
     """Two-way NIPALS model: X ~ T P^T, Y ~ T D Q^T.
 
     ``x_shape`` and ``y_shape`` are the trailing shapes of the data it was
@@ -250,13 +263,6 @@ class PlsModel:
     x_loadings: np.ndarray
     y_loadings: np.ndarray
     coefs: np.ndarray
-    x_shape: tuple[int, ...]
-    y_shape: tuple[int, ...]
-    x_mean: np.ndarray | None
-    y_mean: np.ndarray | None
-    x_residual_norms: tuple[float, ...]
-    y_residual_norms: tuple[float, ...]
-    stop_reason: str
 
     @property
     def n_components(self) -> int:
@@ -284,6 +290,11 @@ def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t - mean, mean
 
 
+def _columns(vectors, rows: int) -> np.ndarray:
+    """Stack per-component columns into a ``rows x R`` matrix (R may be 0)."""
+    return np.column_stack(vectors) if vectors else np.zeros((rows, 0))
+
+
 def _row_pinv(row: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a 1 x K row vector (K x 1 result).
 
@@ -297,10 +308,74 @@ def _row_pinv(row: np.ndarray) -> np.ndarray:
     return row.T / s2
 
 
-def _epsilons(cfg: FitConfig, e0: float, f0: float) -> tuple[float, float]:
-    if cfg.epsilon is not None:
-        return cfg.epsilon, cfg.epsilon
-    return DEFAULT_EPSILON_FACTOR * e0, DEFAULT_EPSILON_FACTOR * f0
+def _deflate(x, y, n_components: int, epsilon, center: bool, step, unfold=False):
+    """The sequential-deflation loop every estimator shares.
+
+    Centres (or copies) X and Y, then calls ``step(e, f)`` on the running
+    residuals once per component. A step returns the deflated residuals and
+    the component's part as ``(e, f, part)``, or a stop reason from
+    :data:`STOP_REASONS`. Before each step the loop stops on an exactly zero
+    residual (``'zero_cross_cov'``: no shared variance left) or on a residual
+    norm at or under epsilon (``'epsilon'``; ``None`` means ``1e-8`` times
+    the initial norm, separately per side). ``unfold`` hands the step the
+    mode-0 unfoldings instead of the tensors.
+
+    Returns the :class:`FittedModel` fields as a dict and the list of parts.
+    """
+    if x.shape[0] != y.shape[0]:
+        raise ShapeMismatchError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
+    if center:
+        e, x_mean = center_mode1(x)
+        f, y_mean = center_mode1(y)
+    else:
+        e, f = x.copy(), y.copy()
+        x_mean = y_mean = None
+    if unfold:
+        e, f = matricize(e, 0), matricize(f, 0)
+    x_norms = [fro_norm(e)]
+    y_norms = [fro_norm(f)]
+    if epsilon is None:
+        eps_x = DEFAULT_EPSILON_FACTOR * x_norms[0]
+        eps_y = DEFAULT_EPSILON_FACTOR * y_norms[0]
+    else:
+        eps_x = eps_y = epsilon
+
+    parts = []
+    stop_reason = "completed"
+    while len(parts) < n_components:
+        if x_norms[-1] == 0.0 or y_norms[-1] == 0.0:
+            stop_reason = "zero_cross_cov"
+            break
+        if x_norms[-1] <= eps_x or y_norms[-1] <= eps_y:
+            stop_reason = "epsilon"
+            break
+        out = step(e, f)
+        if isinstance(out, str):
+            stop_reason = out
+            break
+        e, f, part = out
+        x_norms.append(fro_norm(e))
+        y_norms.append(fro_norm(f))
+        parts.append(part)
+
+    shared = dict(
+        x_shape=x.shape[1:],
+        y_shape=y.shape[1:],
+        x_mean=x_mean,
+        y_mean=y_mean,
+        x_residual_norms=tuple(x_norms),
+        y_residual_norms=tuple(y_norms),
+        stop_reason=stop_reason,
+    )
+    return shared, parts
+
+
+def _score_operator(components, n_x_feat: int) -> np.ndarray:
+    """The paper's W: one column (P_N (x) ... (x) P_2) g_r^+ per component."""
+    return _columns(
+        [kron_all(c.x_loadings[::-1]) @ _row_pinv(matricize(c.x_core, 0)) for c in components],
+        n_x_feat,
+    )
 
 
 def fit_hopls(
@@ -328,84 +403,43 @@ def fit_hopls(
         raise ShapeMismatchError(
             "fit_hopls needs order >= 3 on both sides; use fit_hopls2 for a matrix response"
         )
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"sample counts differ: {x.shape[0]} vs {y.shape[0]}"
-        )
     if len(cfg.x_ranks) != x.ndim - 1 or len(cfg.y_ranks) != y.ndim - 1:
         raise RankError(
             "config must carry one loading count per non-sample mode of X and Y"
         )
-    x_ranks = validate_ranks(cfg.x_ranks, x.shape[1:])
-    y_ranks = validate_ranks(cfg.y_ranks, y.shape[1:])
-
-    if cfg.center:
-        e, x_mean = center_mode1(x)
-        f, y_mean = center_mode1(y)
-    else:
-        e, f = x.copy(), y.copy()
-        x_mean = y_mean = None
-
-    x_norms = [fro_norm(e)]
-    y_norms = [fro_norm(f)]
-    eps_x, eps_y = _epsilons(cfg, x_norms[0], y_norms[0])
-
+    ranks = validate_ranks(cfg.x_ranks, x.shape[1:]) + validate_ranks(cfg.y_ranks, y.shape[1:])
     n_modes_x = x.ndim - 1
-    components: list[HoplsComponent] = []
-    w_cols: list[np.ndarray] = []
-    qstar_cols: list[np.ndarray] = []
-    stop_reason = "completed"
 
-    for _ in range(cfg.n_components):
-        if x_norms[-1] == 0.0 or y_norms[-1] == 0.0:
-            stop_reason = "zero_cross_cov"
-            break
-        if x_norms[-1] <= eps_x or y_norms[-1] <= eps_y:
-            stop_reason = "epsilon"
-            break
+    def step(e, f):
         c = cross_cov_mode1(e, f)
         if not np.any(c):
-            stop_reason = "zero_cross_cov"
-            break
-        tuck = hooi(c, x_ranks + y_ranks, hooi_settings)
-        ps = tuck.factors[:n_modes_x]
-        qs = tuck.factors[n_modes_x:]
-        proj = multi_mode_product(e, ps, range(1, x.ndim), transpose=True)
+            return "zero_cross_cov"
+        factors = hooi(c, ranks, hooi_settings).factors
+        ps, qs = factors[:n_modes_x], factors[n_modes_x:]
+        proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
         if not np.any(proj):
-            stop_reason = "degenerate_core"
-            break
+            return "degenerate_core"
         t = leading_left_singular_vector(matricize(proj, 0))
         t_col = t[:, None]
-        g = tucker_contract(e, (t_col,) + ps)
-        d = tucker_contract(f, (t_col,) + qs)
-        e = e - tucker_assemble(g, (t_col,) + ps)
-        f = f - tucker_assemble(d, (t_col,) + qs)
-        x_norms.append(fro_norm(e))
-        y_norms.append(fro_norm(f))
-        components.append(
-            HoplsComponent(t=t, x_loadings=ps, y_loadings=qs, x_core=g, y_core=d)
+        comp = HoplsComponent(
+            t=t,
+            x_loadings=ps,
+            y_loadings=qs,
+            x_core=tucker_contract(e, (t_col,) + ps),
+            y_core=tucker_contract(f, (t_col,) + qs),
         )
-        w_cols.append(kron_all(ps[::-1]) @ _row_pinv(matricize(g, 0)))
-        qstar_cols.append(kron_all(qs[::-1]) @ matricize(d, 0).T)
+        return e - comp.x_block(), f - comp.y_block(), comp
 
-    n_x_feat = math.prod(x.shape[1:])
-    n_y_feat = math.prod(y.shape[1:])
+    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
     return HoplsModel(
         config=cfg,
         components=tuple(components),
-        x_shape=x.shape[1:],
-        y_shape=y.shape[1:],
-        x_mean=x_mean,
-        y_mean=y_mean,
-        score_operator=(
-            np.hstack(w_cols) if w_cols else np.zeros((n_x_feat, 0))
+        score_operator=_score_operator(components, math.prod(x.shape[1:])),
+        response_operator=_columns(
+            [kron_all(c.y_loadings[::-1]) @ matricize(c.y_core, 0).T for c in components],
+            math.prod(y.shape[1:]),
         ),
-        response_operator=(
-            np.hstack(qstar_cols) if qstar_cols else np.zeros((n_y_feat, 0))
-        ),
-        x_residual_norms=tuple(x_norms),
-        y_residual_norms=tuple(y_norms),
-        stop_reason=stop_reason,
+        **shared,
     )
 
 
@@ -428,83 +462,73 @@ def fit_hopls2(
     y = as_matrix(y)
     if x.ndim < 3:
         raise ShapeMismatchError("fit_hopls2 needs an order >= 3 predictor")
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"sample counts differ: {x.shape[0]} vs {y.shape[0]}"
-        )
     if len(cfg.x_ranks) != x.ndim - 1:
         raise RankError(
             "config must carry one loading count per non-sample mode of X"
         )
-    x_ranks = validate_ranks(cfg.x_ranks, x.shape[1:])
+    ranks = (1,) + validate_ranks(cfg.x_ranks, x.shape[1:])
 
-    if cfg.center:
-        e, x_mean = center_mode1(x)
-        f, y_mean = center_mode1(y)
-    else:
-        e, f = x.copy(), y.copy()
-        x_mean = y_mean = None
-
-    x_norms = [fro_norm(e)]
-    y_norms = [fro_norm(f)]
-    eps_x, eps_y = _epsilons(cfg, x_norms[0], y_norms[0])
-
-    components: list[Hopls2Component] = []
-    w_cols: list[np.ndarray] = []
-    stop_reason = "completed"
-
-    for _ in range(cfg.n_components):
-        if x_norms[-1] == 0.0 or y_norms[-1] == 0.0:
-            stop_reason = "zero_cross_cov"
-            break
-        if x_norms[-1] <= eps_x or y_norms[-1] <= eps_y:
-            stop_reason = "epsilon"
-            break
+    def step(e, f):
         c = mode_n_product(e, f.T, 0)
         if not np.any(c):
-            stop_reason = "zero_cross_cov"
-            break
-        tuck = hooi(c, (1,) + x_ranks, hooi_settings)
+            return "zero_cross_cov"
+        tuck = hooi(c, ranks, hooi_settings)
         q = tuck.factors[0][:, 0]
         ps = tuck.factors[1:]
         c_core_row = matricize(tuck.core, 0)
         if not np.any(c_core_row):
-            stop_reason = "degenerate_core"
-            break
-        proj = multi_mode_product(e, ps, range(1, x.ndim), transpose=True)
+            return "degenerate_core"
+        proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
         t_raw = matricize(proj, 0) @ _row_pinv(c_core_row)
         norm_t = float(np.linalg.norm(t_raw))
         if norm_t == 0.0:
-            stop_reason = "degenerate_core"
-            break
+            return "degenerate_core"
         t = (t_raw / norm_t).ravel()
-        t_col = t[:, None]
-        g = tucker_contract(e, (t_col,) + ps)
-        d = float((f @ q) @ t)
-        e = e - tucker_assemble(g, (t_col,) + ps)
-        f = f - d * np.outer(t, q)
-        x_norms.append(fro_norm(e))
-        y_norms.append(fro_norm(f))
-        components.append(
-            Hopls2Component(t=t, x_loadings=ps, x_core=g, q=q, d=d)
+        comp = Hopls2Component(
+            t=t,
+            x_loadings=ps,
+            x_core=tucker_contract(e, (t[:, None],) + ps),
+            q=q,
+            d=float((f @ q) @ t),
         )
-        w_cols.append(kron_all(ps[::-1]) @ _row_pinv(matricize(g, 0)))
+        return e - comp.x_block(), f - comp.d * np.outer(t, q), comp
 
-    n_x_feat = math.prod(x.shape[1:])
+    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
     return Hopls2Model(
         config=cfg,
         components=tuple(components),
-        x_shape=x.shape[1:],
-        y_shape=y.shape[1:],
-        x_mean=x_mean,
-        y_mean=y_mean,
-        score_operator=(
-            np.hstack(w_cols) if w_cols else np.zeros((n_x_feat, 0))
-        ),
-        x_residual_norms=tuple(x_norms),
-        y_residual_norms=tuple(y_norms),
-        stop_reason=stop_reason,
+        score_operator=_score_operator(components, math.prod(x.shape[1:])),
+        **shared,
     )
+
+
+def _nipals_step(e: np.ndarray, f: np.ndarray):
+    """One NIPALS component of the unfolded residuals: (e, f, (w, p, q, d))."""
+    u = f[:, int(np.argmax((f * f).sum(axis=0)))]
+    t = np.zeros(e.shape[0])
+    for _ in range(NIPALS_MAX_ITER):
+        w = e.T @ u
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return "degenerate_core"
+        w = w / nw
+        t_new = e @ w
+        q = f.T @ t_new
+        nq = np.linalg.norm(q)
+        if nq == 0.0:
+            return "degenerate_core"
+        q = q / nq
+        u = f @ q
+        moved = np.linalg.norm(t_new - t)
+        t = t_new
+        if moved < NIPALS_TOL:
+            break
+    tt = float(t @ t)
+    if tt == 0.0:
+        return "degenerate_core"
+    p = e.T @ t / tt
+    d = float(u @ t) / tt
+    return e - np.outer(t, p), f - d * np.outer(t, q), (w, p, q, d)
 
 
 def fit_pls_nipals(
@@ -512,8 +536,7 @@ def fit_pls_nipals(
     y,
     n_components: int,
     center: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    epsilon: float | None = None,
 ) -> PlsModel:
     """Two-way PLS via the classical alternating (NIPALS) iteration.
 
@@ -522,22 +545,19 @@ def fit_pls_nipals(
 
     Per component the inner loop alternates ``w <- X^T u``, ``t <- X w``,
     ``q <- Y^T t``, ``u <- Y q`` (w, q normalized) until the latent vector
-    moves less than ``tol`` or ``max_iter`` is hit, then deflates
-    ``X -= t p^T`` and ``Y -= d t q^T`` with ``d = u^T t / t^T t``. Scores
-    of successive components come out mutually orthogonal.
+    moves less than ``NIPALS_TOL`` or ``NIPALS_MAX_ITER`` is hit, then
+    deflates ``X -= t p^T`` and ``Y -= d t q^T`` with ``d = u^T t / t^T t``.
+    Scores of successive components come out mutually orthogonal.
 
     Fewer than ``n_components`` may be extractable; the model records the
-    achieved count and why it stopped (``'epsilon'``: a residual is
-    exhausted; ``'degenerate_core'``: the weight or loading vanished).
+    achieved count and why it stopped, under the same rules and the same
+    ``epsilon`` as :func:`fit_hopls` (``'degenerate_core'`` when the weight
+    or loading vanishes).
     """
     x = astensor(x)
     y = astensor(y)
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeMismatchError("fit_pls_nipals needs order >= 2 on both sides")
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"sample counts differ: {x.shape[0]} vs {y.shape[0]}"
-        )
     if not np.any(y):
         raise DegenerateDataError("response matrix is all zeros")
     n_x_feat = math.prod(x.shape[1:])
@@ -546,81 +566,14 @@ def fit_pls_nipals(
             f"n_components={n_components} out of range for X of shape {x.shape}"
         )
 
-    if center:
-        e, x_mean = center_mode1(x)
-        f, y_mean = center_mode1(y)
-    else:
-        e, f = x, y
-        x_mean = y_mean = None
-    e = matricize(e, 0)
-    f = matricize(f, 0)
-
-    x_norms = [fro_norm(e)]
-    y_norms = [fro_norm(f)]
-    # Exhaustion guard: residuals this far below the initial norm carry no
-    # extractable signal.
-    tiny_x = 1e-12 * max(x_norms[0], 1.0)
-    tiny_y = 1e-12 * max(y_norms[0], 1.0)
-
-    ws, p_list, q_list, ds = [], [], [], []
-    stop_reason = "completed"
-    for _ in range(n_components):
-        if x_norms[-1] <= tiny_x or y_norms[-1] <= tiny_y:
-            stop_reason = "epsilon"
-            break
-        u = f[:, int(np.argmax((f * f).sum(axis=0)))]
-        t = np.zeros(e.shape[0])
-        q = np.zeros(f.shape[1])
-        degenerate = False
-        for _ in range(max_iter):
-            w = e.T @ u
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                degenerate = True
-                break
-            w = w / nw
-            t_new = e @ w
-            q = f.T @ t_new
-            nq = np.linalg.norm(q)
-            if nq == 0.0:
-                degenerate = True
-                break
-            q = q / nq
-            u = f @ q
-            if np.linalg.norm(t_new - t) < tol:
-                t = t_new
-                break
-            t = t_new
-        tt = float(t @ t)
-        if degenerate or tt == 0.0:
-            stop_reason = "degenerate_core"
-            break
-        p = e.T @ t / tt
-        d = float(u @ t) / tt
-        e = e - np.outer(t, p)
-        f = f - d * np.outer(t, q)
-        x_norms.append(fro_norm(e))
-        y_norms.append(fro_norm(f))
-        ws.append(w)
-        p_list.append(p)
-        q_list.append(q)
-        ds.append(d)
-
-    def columns(vectors, rows):
-        return np.column_stack(vectors) if vectors else np.zeros((rows, 0))
-
+    shared, parts = _deflate(x, y, n_components, epsilon, center, _nipals_step, unfold=True)
+    ws, ps, qs, ds = zip(*parts) if parts else ((), (), (), ())
     return PlsModel(
-        x_weights=columns(ws, n_x_feat),
-        x_loadings=columns(p_list, n_x_feat),
-        y_loadings=columns(q_list, f.shape[1]),
+        x_weights=_columns(ws, n_x_feat),
+        x_loadings=_columns(ps, n_x_feat),
+        y_loadings=_columns(qs, math.prod(y.shape[1:])),
         coefs=np.array(ds),
-        x_shape=x.shape[1:],
-        y_shape=y.shape[1:],
-        x_mean=x_mean,
-        y_mean=y_mean,
-        x_residual_norms=tuple(x_norms),
-        y_residual_norms=tuple(y_norms),
-        stop_reason=stop_reason,
+        **shared,
     )
 
 
@@ -677,7 +630,7 @@ def predict_pls(
 def _fit_pls(x, y, cfg: FitConfig, hooi_settings: HooiSettings) -> PlsModel:
     # the two-way rank bounds R; a grid over R clamps rather than fails
     n = min(cfg.n_components, np.shape(x)[0], math.prod(np.shape(x)[1:]))
-    return fit_pls_nipals(x, y, n, center=cfg.center)
+    return fit_pls_nipals(x, y, n, center=cfg.center, epsilon=cfg.epsilon)
 
 
 @dataclass(frozen=True)

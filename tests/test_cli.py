@@ -299,6 +299,35 @@ class TestFitVariants:
         ]) == EXIT_OK
         assert json.loads(model.read_bytes())["algo"] == "hopls2"
 
+    def test_pls_honours_epsilon(self, synth_dir, tmp_path, capsys):
+        assert run([
+            "fit", "--algo", "pls", "--x", str(synth_dir / "X.ten"),
+            "--y", str(synth_dir / "Y.ten"), "--r", "3", "--epsilon", "1e9",
+            "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_OK
+        assert "achieved=0 stop_reason=epsilon" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [
+        ["--algo", "hopls", "--lambda", "2", "--k", "1,1"],
+        ["--algo", "npls", "--k", "3,3"],
+        ["--algo", "hopls", "--l", "2,2", "--k", ""],
+    ], ids=["hopls-lambda", "npls", "hopls-empty"])
+    def test_unused_k_is_usage_error(self, synth_dir, tmp_path, extra):
+        assert run([
+            "fit", "--x", str(synth_dir / "X.ten"), "--y", str(synth_dir / "Y.ten"),
+            "--r", "2", "--out", str(tmp_path / "m.json"), *extra,
+        ]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("algo", ["hopls", "hopls2"])
+    def test_k_on_matrix_response_is_usage_error(self, tmp_path, algo):
+        data_dir = tmp_path / "mr"
+        run(["synth", "--case", "mr", "--snr", "inf", "--seed", "3", "--out-dir", str(data_dir)])
+        assert run([
+            "fit", "--algo", algo, "--x", str(data_dir / "X.ten"),
+            "--y", str(data_dir / "Y.ten"), "--r", "2", "--l", "2,2,2", "--k", "1",
+            "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_USAGE
+
     def test_no_center_round_trips_through_model(self, synth_dir, tmp_path):
         out = tmp_path / "m.json"
         assert run([

@@ -113,7 +113,7 @@ class TestGenerators:
         assert (data.y == data.y_clean).all()
         assert math.isinf(data.snr_x_db)
 
-    @pytest.mark.parametrize("case", ["2m", "2t"])
+    @pytest.mark.parametrize("case", ["2m", "2t", "mr"])
     @pytest.mark.parametrize("snr", [7.3, -2.5])
     def test_realized_snr_matches_request(self, case, snr):
         data = generate(SynthSpec.from_case(case, snr, seed=8))

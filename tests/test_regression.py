@@ -167,6 +167,12 @@ class TestPlsNipals:
         model = fit_pls_nipals(x, y, 2)
         assert (model.n_components, model.stop_reason) == (2, "completed")
 
+    def test_zero_residual_is_zero_cross_cov(self):
+        # X constant along mode 0: nothing is left once it is centred
+        y = np.random.default_rng(10).standard_normal((5, 2))
+        model = fit_pls_nipals(np.ones((5, 4)), y, 2)
+        assert (model.n_components, model.stop_reason) == (0, "zero_cross_cov")
+
     @pytest.mark.parametrize("center", [True, False])
     def test_prefix_predictions_match_sequential_oracle(self, center):
         rng = np.random.default_rng(22)
