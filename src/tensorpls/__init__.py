@@ -30,9 +30,6 @@ from .evaluate import (
     SynthSpec,
     benchmark_case,
     corr_per_column,
-    gen_matrix_response,
-    gen_matrix_structured,
-    gen_tucker_structured,
     generate,
     grid_candidates,
     kfold_cv,

@@ -71,6 +71,17 @@ def _parse_snr(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """An argparse type for the count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -157,9 +168,8 @@ def _fit_config_from_args(args, algo: Algorithm, x: np.ndarray, y: np.ndarray) -
 
 
 def _training_q2_lines(model, y_raw: np.ndarray, y_pred: np.ndarray) -> list[str]:
-    denom = fro_norm(y_raw)
-    q2_fit = 1.0 - (model.y_residual_norms[-1] / denom) ** 2
-    q2_pred = q_squared(y_raw, y_pred)
+    q2_pred = q_squared(y_raw, y_pred)  # an all-zero Y raises DegenerateDataError
+    q2_fit = 1.0 - (model.y_residual_norms[-1] / fro_norm(y_raw)) ** 2
     return [f"training_q2={q2_fit:.12g}", f"training_q2_pred={q2_pred:.12g}"]
 
 
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' for noiseless")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--noise-seed", type=int, default=None)
-    p.add_argument("--latent", type=int, default=5)
+    p.add_argument("--latent", type=_count, default=5)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -365,20 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--lambda-max", type=int, default=10)
+    p.add_argument("--r-max", type=_count, required=True)
+    p.add_argument("--lambda-max", type=_count, default=10)
     p.add_argument("--no-center", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("bench", help="repeated benchmark with CV selection")
     p.add_argument("--case", required=True, choices=sorted(CASE_SHAPES))
-    p.add_argument("--repeats", type=int, default=50)
+    p.add_argument("--repeats", type=_count, default=50)
     p.add_argument("--snr-list", default="10,5,0,-5")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--r-max", type=int, default=10)
-    p.add_argument("--lambda-max", type=int, default=10)
+    p.add_argument("--r-max", type=_count, default=10)
+    p.add_argument("--lambda-max", type=_count, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

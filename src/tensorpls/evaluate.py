@@ -33,7 +33,7 @@ import numpy as np
 
 from .decomp import HooiSettings
 from .errors import DegenerateDataError, ShapeMismatchError
-from .regression import Algorithm, FitConfig, algorithm
+from .regression import FitConfig, algorithm
 from .tensor import astensor, fro_norm, matricize, tucker_assemble
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "SynthSpec",
     "SynthData",
     "generate",
-    "gen_matrix_structured",
-    "gen_tucker_structured",
-    "gen_matrix_response",
     "CvReport",
     "grid_candidates",
     "kfold_cv",
@@ -271,10 +268,8 @@ def _noisy_data(
     )
 
 
-def gen_matrix_structured(spec: SynthSpec) -> SynthData:
+def _gen_matrix_structured(spec: SynthSpec) -> SynthData:
     """X = T P^T + noise, Y = T Q^T + noise, reshaped row-major to tensors."""
-    if spec.kind != "matrix-structured":
-        raise ValueError("spec.kind must be matrix-structured")
     rng = _struct_rng(spec)
     k = spec.n_latent
     n = spec.x_shape[0]
@@ -293,14 +288,12 @@ def gen_matrix_structured(spec: SynthSpec) -> SynthData:
     )
 
 
-def gen_tucker_structured(spec: SynthSpec) -> SynthData:
+def _gen_tucker_structured(spec: SynthSpec) -> SynthData:
     """Multilinear data: cores and loadings N(0,1), shared latent mode 0.
 
     Core dimensions default to the latent count on every non-sample mode
     (capped by the mode size).
     """
-    if spec.kind != "tucker-structured":
-        raise ValueError("spec.kind must be tucker-structured")
     rng = _struct_rng(spec)
     k = spec.n_latent
     n = spec.x_shape[0]
@@ -321,13 +314,11 @@ def gen_tucker_structured(spec: SynthSpec) -> SynthData:
     )
 
 
-def gen_matrix_response(spec: SynthSpec) -> SynthData:
+def _gen_matrix_response(spec: SynthSpec) -> SynthData:
     """4-way N(0,1) predictor, exactly linear clean response Y = X_(0) W.
 
     Noise at ``snr_db`` is added to all four tensors as for the other kinds.
     """
-    if spec.kind != "matrix-response":
-        raise ValueError("spec.kind must be matrix-response")
     rng = _struct_rng(spec)
     w = rng.standard_normal((math.prod(spec.x_shape[1:]), spec.y_shape[1]))
     x = rng.standard_normal(spec.x_shape)
@@ -338,9 +329,9 @@ def gen_matrix_response(spec: SynthSpec) -> SynthData:
 
 
 _GENERATORS: dict[str, Callable[[SynthSpec], SynthData]] = {
-    "matrix-structured": gen_matrix_structured,
-    "tucker-structured": gen_tucker_structured,
-    "matrix-response": gen_matrix_response,
+    "matrix-structured": _gen_matrix_structured,
+    "tucker-structured": _gen_tucker_structured,
+    "matrix-response": _gen_matrix_response,
 }
 
 
@@ -399,49 +390,6 @@ def _split(arr: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
     return train, arr[sl]
 
 
-def _prefix_q2s(scores, columns, test_y, y_mean, rs):
-    """Validation Q² for every component-prefix in one shot.
-
-    ``scores @ columns.T`` is the matricized prediction; prefix predictions
-    are cumulative sums of per-component rank-one contributions.
-    """
-    ref = matricize(test_y, 0)
-    denom = fro_norm(ref) ** 2
-    if denom == 0.0:
-        raise DegenerateDataError("q_squared undefined for an all-zero reference")
-    base = (
-        ref - matricize(y_mean.reshape((1,) + y_mean.shape), 0)
-        if y_mean is not None
-        else ref
-    )
-    if scores.shape[1] == 0:
-        q2_flat = 1.0 - fro_norm(base) ** 2 / denom
-        return {r: q2_flat for r in rs}
-    contribs = np.einsum("nr,jr->rnj", scores, columns)
-    cum = np.cumsum(contribs, axis=0)
-    errs = base[None, :, :] - cum
-    sq = (errs * errs).sum(axis=(1, 2))
-    achieved = scores.shape[1]
-    return {r: 1.0 - sq[min(r, achieved) - 1] / denom for r in rs}
-
-
-def _fit_prefix_q2s(
-    algo: Algorithm,
-    train_x,
-    train_y,
-    test_x,
-    test_y,
-    cfg: FitConfig,
-    rs: Sequence[int],
-    hooi_settings: HooiSettings,
-):
-    """Fit once at max R; return {r: validation Q²} for each prefix."""
-    model = algo.fit(train_x, train_y, cfg, hooi_settings)
-    xc = test_x - model.x_mean if model.x_mean is not None else test_x
-    scores = matricize(xc, 0) @ model.score_operator
-    return _prefix_q2s(scores, model.response_operator, test_y, model.y_mean, rs)
-
-
 def _best_cell(grid: dict[tuple[int, int], float]) -> tuple[int, int]:
     # max mean Q², ties to the smallest R, then the smallest lambda
     return min(grid, key=lambda cell: (-grid[cell], cell[0], cell[1]))
@@ -464,9 +412,10 @@ def kfold_cv(
     max mean Q², ties resolved to the smallest R then smallest lambda.
 
     Components are extracted sequentially, so one fit at the largest pending
-    R per (fold, lambda) yields every smaller-R model exactly. ``algo``
-    names an entry of the algorithm table; on a matrix response the tensor
-    methods run their matrix-response variant.
+    R per (fold, lambda) yields every smaller-R model exactly; prefix r is
+    scored as ``q_squared`` of the model's own prediction from its leading r
+    components. ``algo`` names an entry of the algorithm table; on a matrix
+    response the tensor methods run their matrix-response variant.
     """
     x = astensor(x)
     y = astensor(y)
@@ -504,11 +453,9 @@ def kfold_cv(
         max_cfg = replace(pending[-1][1], n_components=max(rs))
         fold_scores: dict[int, list[float]] = {r: [] for r in rs}
         for (train_x, test_x), (train_y, test_y) in split_cache:
-            q2s = _fit_prefix_q2s(
-                entry, train_x, train_y, test_x, test_y, max_cfg, rs, hooi_settings
-            )
+            model = entry.fit(train_x, train_y, max_cfg, hooi_settings)
             for r in rs:
-                fold_scores[r].append(q2s[r])
+                fold_scores[r].append(q_squared(test_y, entry.predict(model, test_x, r)))
         for r in rs:
             mean = float(np.mean(fold_scores[r]))
             grid[(r, lam)] = mean

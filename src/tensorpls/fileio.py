@@ -63,7 +63,7 @@ def write_tensor(path, arr: np.ndarray) -> None:
     header = f"{TENSOR_MAGIC} {arr.ndim} {dims} f64 row-major\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+        arr.astype("<f8", copy=False).tofile(fh)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -216,26 +216,30 @@ def save_model(path, model) -> str:
     return checksum
 
 
-def load_model(path):
-    """Read a model file back.
-
-    Verifies the format tag, the version and the checksum, and that the
-    model is internally consistent; any failure raises FileFormatError.
-    """
+def _read_doc(path) -> dict:
+    """The JSON document of a model file, its format tag and checksum verified."""
     try:
         doc = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FileFormatError("not a tensorpls model file")
+    if doc.get("checksum") != hashlib.sha256(_canonical_bytes(doc)).hexdigest():
+        raise FileFormatError("model checksum mismatch")
+    return doc
+
+
+def load_model(path):
+    """Read a model file back.
+
+    Verifies the format tag, the checksum and the version, and that the
+    model is internally consistent; any failure raises FileFormatError.
+    """
+    doc = _read_doc(path)
     if doc.get("version") != MODEL_VERSION:
         raise FileFormatError(f"unsupported model version {doc.get('version')!r}")
-    stated = doc.get("checksum")
-    actual = hashlib.sha256(_canonical_bytes(doc)).hexdigest()
-    if stated != actual:
-        raise FileFormatError("model checksum mismatch")
     try:
         model = _model_from_doc(doc)
         _check_consistent(model)
@@ -248,15 +252,7 @@ def load_model(path):
 
 def model_checksum(path) -> str:
     """Checksum stated in a model file (verifying it against the payload)."""
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read model file {path}: {exc}") from exc
-    stated = doc.get("checksum")
-    actual = hashlib.sha256(_canonical_bytes(doc)).hexdigest()
-    if stated != actual:
-        raise FileFormatError("model checksum mismatch")
-    return stated
+    return _read_doc(path)["checksum"]
 
 
 def write_json(path, doc: dict) -> None:

@@ -123,8 +123,7 @@ class FitConfig:
         object.__setattr__(self, "y_ranks", tuple(int(r) for r in self.y_ranks))
         if any(r < 1 for r in self.x_ranks + self.y_ranks):
             raise RankError("all loading counts must be >= 1")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise RankError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
 
     @classmethod
     def uniform(
@@ -138,26 +137,6 @@ class FitConfig:
         """The same loading count ``lam`` on every non-sample mode."""
         y_ranks = (lam,) * (y_order - 1) if y_order is not None else ()
         return cls(n_components, (lam,) * (x_order - 1), y_ranks, **kwargs)
-
-    @classmethod
-    def variance_fraction(
-        cls,
-        n_components: int,
-        eta: float,
-        x_shape: Sequence[int],
-        y_shape: Sequence[int] | None = None,
-        **kwargs,
-    ) -> "FitConfig":
-        """Loading counts as a fixed fraction ``eta`` of each mode size."""
-        if not 0 < eta <= 1:
-            raise RankError("eta must be in (0, 1]")
-        x_ranks = tuple(max(1, round(eta * d)) for d in x_shape[1:])
-        y_ranks = (
-            tuple(max(1, round(eta * d)) for d in y_shape[1:])
-            if y_shape is not None
-            else ()
-        )
-        return cls(n_components, x_ranks, y_ranks, **kwargs)
 
     @property
     def lam(self) -> int:
@@ -281,6 +260,12 @@ class PlsModel(FittedModel):
     @property
     def response_operator(self) -> np.ndarray:
         return self.y_loadings * self.coefs
+
+
+def _check_epsilon(epsilon: float | None) -> None:
+    # written so that NaN fails too: it would never stop the loop
+    if epsilon is not None and not epsilon >= 0:
+        raise RankError(f"epsilon must be >= 0, got {epsilon}")
 
 
 def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -560,6 +545,7 @@ def fit_pls_nipals(
         raise ShapeMismatchError("fit_pls_nipals needs order >= 2 on both sides")
     if not np.any(y):
         raise DegenerateDataError("response matrix is all zeros")
+    _check_epsilon(epsilon)
     n_x_feat = math.prod(x.shape[1:])
     if not 1 <= n_components <= min(x.shape[0], n_x_feat):
         raise RankError(
@@ -654,8 +640,8 @@ class Algorithm:
     def fit(self, x, y, cfg: FitConfig, hooi_settings: HooiSettings = HooiSettings()):
         return globals()[self.fit_name](x, y, cfg, hooi_settings)
 
-    def predict(self, model, x_new) -> np.ndarray:
-        return globals()[self.predict_name](model, x_new)
+    def predict(self, model, x_new, n_components: int | None = None) -> np.ndarray:
+        return globals()[self.predict_name](model, x_new, n_components)
 
     def config(self, r: int, lam: int, x_order: int, y_order: int, **kwargs) -> FitConfig:
         """The config of the (R, lambda) cell for data of these orders."""
@@ -668,6 +654,8 @@ class Algorithm:
         if self.fixed_lam is not None:
             return self.fixed_lam
         dims = tuple(x_shape[1:]) + (tuple(y_shape[1:]) if self.y_ranked else ())
+        if not dims:
+            raise ShapeMismatchError(f"{self.name} needs data with a non-sample mode")
         return min(dims)
 
 

@@ -307,6 +307,13 @@ class TestFitVariants:
         ]) == EXIT_OK
         assert "achieved=0 stop_reason=epsilon" in capsys.readouterr().out
 
+    def test_nan_epsilon_is_numeric_error(self, synth_dir, tmp_path):
+        assert run([
+            "fit", "--algo", "hopls", "--x", str(synth_dir / "X.ten"),
+            "--y", str(synth_dir / "Y.ten"), "--r", "2", "--lambda", "2",
+            "--epsilon", "nan", "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_NUMERIC
+
     @pytest.mark.parametrize("extra", [
         ["--algo", "hopls", "--lambda", "2", "--k", "1,1"],
         ["--algo", "npls", "--k", "3,3"],
@@ -385,6 +392,34 @@ class TestBench:
         ]) == EXIT_OK
         capsys.readouterr()
         assert time.monotonic() - start < 60.0
+
+
+class TestExitCodes:
+    """Inputs that once ended in a traceback get their documented exit code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        ("cv --algo hopls --x {x} --y {y} --r-max 0", EXIT_USAGE),
+        ("cv --algo hopls --x {x} --y {y} --r-max 2 --lambda-max 0", EXIT_USAGE),
+        ("bench --case 2t --seed 1 --r-max 0", EXIT_USAGE),
+        ("bench --case 2t --seed 1 --lambda-max 0", EXIT_USAGE),
+        ("bench --case 2t --seed 1 --repeats 0", EXIT_USAGE),
+        ("synth --case 2t --seed 1 --latent 0 --out-dir {tmp}/z", EXIT_USAGE),
+        ("cv --algo hopls --x {vec} --y {vec} --r-max 1", EXIT_NUMERIC),
+        ("fit --algo hopls --x {zero} --y {zero} --r 1 --lambda 1 --out {tmp}/m.json",
+         EXIT_NUMERIC),
+        ("predict --model {x} --x {x} --out {tmp}/p.ten", EXIT_PARSE),
+    ], ids=[
+        "cv-r-max", "cv-lambda-max", "bench-r-max", "bench-lambda-max", "bench-repeats",
+        "synth-latent", "cv-order-1", "fit-all-zero", "predict-non-utf8-model",
+    ])
+    def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
+        vec, zero = tmp_path / "vec.ten", tmp_path / "zero.ten"
+        write_tensor(vec, np.arange(1.0, 4.0))
+        write_tensor(zero, np.zeros((2, 2, 2)))
+        paths = {"x": synth_dir / "X.ten", "y": synth_dir / "Y.ten",
+                 "vec": vec, "zero": zero, "tmp": tmp_path}
+        assert run(argv.format(**paths).split()) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -89,3 +89,25 @@ def test_pls_loop(problem):
         return fit_pls_nipals(x, y, k, center=center)
 
     check_loop(fit, predict_pls, x, r)
+
+
+def assert_orthonormal_loadings(components):
+    for comp in components:
+        for p in comp.x_loadings + getattr(comp, "y_loadings", ()):
+            assert np.abs(p.T @ p - np.eye(p.shape[1])).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(y_order=3))
+def test_hopls_loadings_are_column_orthonormal(problem):
+    x, y, x_ranks, y_ranks, r, center = problem
+    assert_orthonormal_loadings(
+        fit_hopls(x, y, FitConfig(r, x_ranks, y_ranks, center=center)).components
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(y_order=2))
+def test_hopls2_loadings_are_column_orthonormal(problem):
+    x, y, x_ranks, _, r, center = problem
+    assert_orthonormal_loadings(fit_hopls2(x, y, FitConfig(r, x_ranks, center=center)).components)

@@ -19,9 +19,11 @@ from tensorpls import (
     matricize,
     predict_hopls,
     q_squared,
+    q_squared_per_column,
     rmsep,
 )
-from tensorpls.evaluate import _fold_slices
+from tensorpls.evaluate import _fold_slices, _split
+from tensorpls.regression import ALGORITHMS, algorithm
 
 FAST = HooiSettings(max_iters=15, rel_tol=1e-6)
 
@@ -70,6 +72,12 @@ class TestMetrics:
         out = corr_per_column(y, y)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0)
+
+    def test_q2_per_column_hand_case(self):
+        # column 0: error 1 against energy 2; column 1 is all zero, so nan
+        out = q_squared_per_column([[1.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]])
+        assert out[0] == 0.5
+        assert np.isnan(out[1])
 
     def test_q2_rmsep_order_agree(self):
         rng = np.random.default_rng(2)
@@ -178,6 +186,25 @@ class TestKfoldCv:
         slices = _fold_slices(11, 3)
         seen = [i for sl in slices for i in range(sl.start, sl.stop)]
         assert seen == list(range(11))
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_fold_q2_is_q2_of_the_prediction(self, name):
+        # every fold's Q² is that of the model's own prediction, bit for bit;
+        # hopls2 takes a matrix response, every other entry the tensor one
+        case = "mr" if name == "hopls2" else "2m"
+        data = generate(SynthSpec.from_case(case, 5.0, seed=4))
+        algo = algorithm(name, data.y.ndim)
+        cands = grid_candidates(data.x.shape, data.y.shape, 4, 3, name)
+        report = kfold_cv(data.x, data.y, 5, cands, name, FAST)
+        for lam in {lam for _, lam in report.grid}:
+            rs = [r for r, l in report.grid if l == lam]
+            cfg = algo.config(max(rs), lam, data.x.ndim, data.y.ndim)
+            for f, sl in enumerate(_fold_slices(data.x.shape[0], 5)):
+                (train_x, test_x), (train_y, test_y) = _split(data.x, sl), _split(data.y, sl)
+                model = algo.fit(train_x, train_y, cfg, FAST)
+                for r in rs:
+                    want = q_squared(test_y, algo.predict(model, test_x, r))
+                    assert report.per_fold[(r, lam)][f] == want
 
     def test_too_few_samples(self):
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))

@@ -1,9 +1,12 @@
 import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocks import separated_block_data
 from tensorpls import (
@@ -17,6 +20,7 @@ from tensorpls import (
     save_model,
     write_tensor,
 )
+from tensorpls.cli import EXIT_PARSE
 from tensorpls.cli import main as cli_main
 from tensorpls.fileio import model_checksum
 from tensorpls.regression import algorithm
@@ -157,6 +161,14 @@ class TestModelFile:
         with pytest.raises(FileFormatError):
             load_model(path)
 
+    def test_rejects_non_utf8_file(self, tmp_path):
+        path = tmp_path / "x.ten"
+        write_tensor(path, np.full(3, -1.0))  # the payload bytes are not UTF-8
+        with pytest.raises(FileFormatError):
+            load_model(path)
+        with pytest.raises(FileFormatError):
+            model_checksum(path)
+
     def test_config_echo_preserved(self, tmp_path, hopls_model):
         path = tmp_path / "m.json"
         save_model(path, hopls_model)
@@ -207,3 +219,75 @@ class TestModelConsistency:
         rewrite_model(path, lambda d: d["components"][1].update(q=array_record(np.ones(3))))
         with pytest.raises(FileFormatError):
             load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def fit_problems(draw, name):
+    """Random X and Y, and an (R, lambda) cell, for the table entry ``name``.
+
+    ``hopls2`` takes a matrix response; the other entries a matrix or a
+    tensor one (``hopls`` and ``npls`` then run their matrix variant).
+    """
+    n = draw(st.integers(3, 7))
+    x_dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    y_order = 2 if name == "hopls2" else draw(st.sampled_from([2, 3]))
+    y_dims = draw(st.lists(st.integers(1, 4), min_size=y_order - 1, max_size=y_order - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, *x_dims))
+    y = rng.standard_normal((n, *y_dims))
+    x_new = rng.standard_normal((draw(st.integers(1, 4)), *x_dims))
+    algo = algorithm(name, y.ndim)
+    lam = draw(st.integers(1, algo.lam_cap(x.shape, y.shape)))
+    cfg = algo.config(draw(st.integers(1, 4)), lam, x.ndim, y.ndim, center=draw(st.booleans()))
+    return algo, x, y, x_new, cfg
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_save_load_predict_is_bit_exact(tmp_path_factory, name, data):
+    algo, x, y, x_new, cfg = data.draw(fit_problems(name))
+    model = algo.fit(x, y, cfg)
+    path = tmp_path_factory.getbasetemp() / f"property-{name}.json"
+    save_model(path, model)
+    back = load_model(path)
+    assert type(back) is type(model)
+    assert back.stop_reason == model.stop_reason
+    for r in range(model.n_components + 1):
+        assert (algo.predict(back, x_new, r) == algo.predict(model, x_new, r)).all()
+
+
+@st.composite
+def ten_files(draw):
+    """A TEN1 header, valid or mutated, followed by random bytes.
+
+    Up to two header fields are replaced by short strings of separators,
+    digits and a non-ASCII letter, and one byte may be overwritten. The
+    payload has the length the valid header asks for or any length up to
+    200 bytes.
+    """
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    fields = ["TEN1", str(len(dims)), ",".join(map(str, dims)), "f64", "row-major"]
+    for _ in range(draw(st.integers(0, 2))):
+        fields[draw(st.integers(0, 4))] = draw(st.text(" ,-+_.x09\xe9", max_size=4))
+    header = bytearray(" ".join(fields).encode("latin-1") + b"\n")
+    if draw(st.booleans()):
+        header[draw(st.integers(0, len(header) - 1))] = draw(st.integers(0, 255))
+    size = 8 * math.prod(dims)
+    payload = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=200))
+    return bytes(header) + payload
+
+
+@settings(max_examples=30, deadline=None)
+@given(blob=ten_files())
+def test_malformed_tensor_file_is_file_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "property.ten"
+    path.write_bytes(blob)
+    try:
+        read_tensor(path)
+    except FileFormatError:
+        assert cli_main(["eval", "--y-true", str(path), "--y-pred", str(path)]) == EXIT_PARSE

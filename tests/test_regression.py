@@ -57,14 +57,6 @@ class TestFitConfig:
         assert cfg.x_ranks == (3, 3, 3) and cfg.y_ranks == (3, 3)
         assert cfg.lam == 3
 
-    def test_variance_fraction_constructor(self):
-        cfg = FitConfig.variance_fraction(2, 0.5, (10, 8, 6), (10, 4))
-        assert cfg.x_ranks == (4, 3) and cfg.y_ranks == (2,)
-        cfg = FitConfig.variance_fraction(2, 0.05, (10, 8, 6))
-        assert cfg.x_ranks == (1, 1)
-        with pytest.raises(RankError):
-            FitConfig.variance_fraction(2, 1.5, (10, 8))
-
     def test_lam_requires_uniform_counts(self):
         with pytest.raises(ValueError):
             FitConfig(2, (2, 3)).lam
@@ -76,6 +68,11 @@ class TestFitConfig:
             FitConfig(1, (0, 1))
         with pytest.raises(RankError):
             FitConfig(1, (1, 1), epsilon=-1.0)
+
+    def test_nan_epsilon_rejected(self):
+        # NaN compares false with everything, so it would never stop a fit
+        with pytest.raises(RankError):
+            FitConfig(1, (1, 1), epsilon=float("nan"))
 
 
 class TestCenterMode1:
@@ -106,6 +103,12 @@ class TestCenterMode1:
 
 
 class TestPlsNipals:
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        rng = np.random.default_rng(3)
+        with pytest.raises(RankError):
+            fit_pls_nipals(rng.standard_normal((6, 4)), rng.standard_normal((6, 2)), 3, epsilon=epsilon)
+
     def test_identity_relation(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 8))
