@@ -71,15 +71,20 @@ def _parse_snr(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """An argparse type for the count flags: an integer >= 1."""
+def _count(text: str, least: int = 1) -> int:
+    """An argparse type for the count flags: an integer >= ``least``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _fold_count(text: str) -> int:
+    """The argparse type of ``--folds``: k-fold CV needs at least 2 folds."""
+    return _count(text, 2)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_count, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--l", default=None, help="per-mode loading counts for X, e.g. 2,3")
     p.add_argument("--k", default=None, help="per-mode loading counts for Y")
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--r-max", type=_count, required=True)
     p.add_argument("--lambda-max", type=_count, default=10)
     p.add_argument("--no-center", action="store_true")
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_count, default=50)
     p.add_argument("--snr-list", default="10,5,0,-5")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--r-max", type=_count, default=10)
     p.add_argument("--lambda-max", type=_count, default=10)
     p.add_argument("--out", default=None)

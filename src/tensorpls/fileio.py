@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .regression import ALGORITHMS, STOP_REASONS, algorithm_of
+from .regression import ALGORITHMS, STOP_REASONS, HoplsModel, PlsModel, algorithm_of
 
 __all__ = [
     "read_tensor",
@@ -187,20 +187,51 @@ def _model_from_doc(doc: dict):
     return _decode(doc, ALGORITHMS[tag].model_type)
 
 
+def _shape_checks(model):
+    """Yield ``(what, got, expected)`` for every size a model file fixes.
+
+    First the arrays stored per component: HOPLS and HOPLS2 loadings and
+    cores follow from ``x_shape``/``y_shape`` and the config's loading
+    counts; PLS weights and loadings have one row per feature and one column
+    per coefficient. Then the operators, which PLS and HOPLS2 derive from
+    those arrays (a generator, so that they are derived only after the
+    arrays passed), the residual norms and the means.
+    """
+    n_x, n_y, n = math.prod(model.x_shape), math.prod(model.y_shape), model.n_components
+    if isinstance(model, PlsModel):
+        yield "x weights", model.x_weights.shape, (n_x, n)
+        yield "x loadings", model.x_loadings.shape, (n_x, n)
+        yield "y loadings", model.y_loadings.shape, (n_y, n)
+        yield "coefs", model.coefs.shape, (n,)
+    else:
+        cfg = model.config
+        tensor_y = isinstance(model, HoplsModel)
+        yield "x loading count", len(cfg.x_ranks), len(model.x_shape)
+        if tensor_y:
+            yield "y loading count", len(cfg.y_ranks), len(model.y_shape)
+        for i, c in enumerate(model.components, 1):
+            yield (f"component {i} x loadings", tuple(p.shape for p in c.x_loadings),
+                   tuple(zip(model.x_shape, cfg.x_ranks)))  # fmt: skip
+            yield f"component {i} x core", c.x_core.shape, (1,) + cfg.x_ranks
+            if tensor_y:
+                yield (f"component {i} y loadings", tuple(q.shape for q in c.y_loadings),
+                       tuple(zip(model.y_shape, cfg.y_ranks)))  # fmt: skip
+                yield f"component {i} y core", c.y_core.shape, (1,) + cfg.y_ranks
+            else:
+                yield f"component {i} q", c.q.shape, model.y_shape
+    yield "score operator", model.score_operator.shape, (n_x, n)
+    yield "response operator", model.response_operator.shape, (n_y, n)
+    yield "x residual norm count", len(model.x_residual_norms), n + 1
+    yield "y residual norm count", len(model.y_residual_norms), n + 1
+    yield "x mean", model.x_shape if model.x_mean is None else model.x_mean.shape, model.x_shape
+    yield "y mean", model.y_shape if model.y_mean is None else model.y_mean.shape, model.y_shape
+
+
 def _check_consistent(model) -> None:
-    """Raise ValueError unless the operators, norms and means agree."""
+    """Raise ValueError unless the stored arrays, operators, norms and means agree."""
     if model.stop_reason not in STOP_REASONS:
         raise ValueError(f"unknown stop_reason {model.stop_reason!r}")
-    n = model.n_components
-    checks = (
-        ("score operator", model.score_operator.shape, (math.prod(model.x_shape), n)),
-        ("response operator", model.response_operator.shape, (math.prod(model.y_shape), n)),
-        ("x residual norm count", len(model.x_residual_norms), n + 1),
-        ("y residual norm count", len(model.y_residual_norms), n + 1),
-        ("x mean", model.x_shape if model.x_mean is None else model.x_mean.shape, model.x_shape),
-        ("y mean", model.y_shape if model.y_mean is None else model.y_mean.shape, model.y_shape),
-    )
-    for what, got, want in checks:
+    for what, got, want in _shape_checks(model):
         if got != want:
             raise ValueError(f"{what} is {got}, expected {want}")
 
@@ -245,7 +276,8 @@ def load_model(path):
         _check_consistent(model)
     except FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    # IndexError: an array with too few axes (a 1-D PLS weight matrix, say)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc
     return model
 

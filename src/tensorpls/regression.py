@@ -25,8 +25,12 @@ and models are immutable after fitting. Mode-0 mean-centering is on by
 default and is undone at prediction time. Residual norms never increase.
 
 Every model is a linear predictor with two operators: a score operator W
-(X features x R) and a response operator (Y features x R). Prediction is
-``fold((X - x_mean)_(0) W  response_operator^T) + y_mean`` for all of them.
+(X features x R) and a response operator (Y features x R), their rows in
+the mode-0 unfolding's feature order. Prediction is
+``fold((X - x_mean)_(0) W  response_operator^T) + y_mean`` for all of them;
+:func:`_predict` computes it on the batch's row-major layout instead, with
+both operators' rows permuted to C order, so it matches the unfolded
+formula to rounding and copies no batch.
 :data:`ALGORITHMS` is the one table that maps a method name to its fit
 call, its configuration, its lambda range and its model-file tag.
 """
@@ -45,7 +49,6 @@ from .tensor import (
     as_matrix,
     astensor,
     cross_cov_mode1,
-    fold,
     fro_norm,
     kron_all,
     matricize,
@@ -563,8 +566,27 @@ def fit_pls_nipals(
     )
 
 
+def _c_order_rows(operator: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``operator`` with its rows permuted from unfolding order to C order over ``shape``.
+
+    An operator's rows index the mode-0 unfolding's columns, where the first
+    mode of ``shape`` varies fastest: C order over the reversed shape.
+    """
+    d, r = len(shape), operator.shape[1]
+    by_mode = operator.reshape(shape[::-1] + (r,)).transpose(*range(d - 1, -1, -1), d)
+    # the row count is explicit: reshape(-1, 0) cannot infer it
+    return by_mode.reshape(math.prod(shape), r)
+
+
 def _predict(model, x_new, n_components: int | None) -> np.ndarray:
-    """The one prediction path: centre, score, respond, fold, add the mean.
+    """The one prediction path: score, subtract the mean's scores, respond, add the mean.
+
+    This is ``fold((X - x_mean)_(0) W Q^T) + y_mean`` computed without a
+    batch-sized temporary: the batch's row-major reshape is scored against
+    W's rows in C order, the centring moves onto the scores
+    (``x_mean W``), and the response comes out in C order, so the output is
+    the only array of batch size. The summation order differs from the
+    unfolded formula, so the two agree to rounding, not bit for bit.
 
     ``n_components`` restricts to a leading subset: components are extracted
     sequentially, so the first r columns of both operators *are* the
@@ -576,13 +598,13 @@ def _predict(model, x_new, n_components: int | None) -> np.ndarray:
             f"new data trailing shape {x_new.shape[1:]} != training {model.x_shape}"
         )
     r = model.n_components if n_components is None else min(n_components, model.n_components)
-    y_shape = (x_new.shape[0],) + model.y_shape
+    n = x_new.shape[0]
+    w = _c_order_rows(model.score_operator[:, :r], model.x_shape)
+    q = _c_order_rows(model.response_operator[:, :r], model.y_shape)
+    scores = x_new.reshape(n, w.shape[0]) @ w
     if model.x_mean is not None:
-        x_new = x_new - model.x_mean
-    scores = matricize(x_new, 0) @ model.score_operator[:, :r]
-    # hold no batch-sized temporaries beyond the one being built
-    del x_new
-    y = fold(scores @ model.response_operator[:, :r].T, 0, y_shape)
+        scores -= model.x_mean.reshape(-1) @ w
+    y = (scores @ q.T).reshape((n,) + model.y_shape)
     if model.y_mean is not None:
         y += model.y_mean
     return y

@@ -15,7 +15,9 @@ tensor with entries 1..8 laid out row-major, ``matricize(t, 0)`` is::
 
 This is the ordering under which ``matricize(tucker_assemble(g, [A1..AN]), 0)
 == A1 @ matricize(g, 0) @ kron_all([AN, ..., A2]).T`` and hence the one the
-prediction formulas in :mod:`tensorpls.regression` rely on.
+operators of :mod:`tensorpls.regression` index their rows in. The predictor
+there does not unfold a batch: it permutes the operators' rows to the
+row-major feature order instead.
 """
 
 from __future__ import annotations

@@ -125,3 +125,23 @@ def pls_predict_sequential(model, x, r):
     if model.y_mean is not None:
         y = y + model.y_mean
     return y
+
+
+def predict_unfolded(model, x, r):
+    """The linear predictor as written on the mode-0 unfolding.
+
+    ``fold(matricize(x - x_mean, 0) @ W[:, :r] @ Q[:, :r].T, 0, shape) + y_mean``
+    with W and Q the model's score and response operators. For mode 0 the
+    unfolding is the Fortran-order reshape to ``(n, -1)`` (the first
+    remaining mode varies fastest) and the fold its inverse.
+    """
+    x = np.asarray(x, dtype=float)
+    if model.x_mean is not None:
+        x = x - model.x_mean
+    n = x.shape[0]
+    unfolded = np.reshape(x, (n, -1), order="F")
+    y = unfolded @ model.score_operator[:, :r] @ model.response_operator[:, :r].T
+    y = np.reshape(y, (n,) + tuple(model.y_shape), order="F")
+    if model.y_mean is not None:
+        y = y + model.y_mean
+    return y

@@ -408,9 +408,14 @@ class TestExitCodes:
         ("fit --algo hopls --x {zero} --y {zero} --r 1 --lambda 1 --out {tmp}/m.json",
          EXIT_NUMERIC),
         ("predict --model {x} --x {x} --out {tmp}/p.ten", EXIT_PARSE),
+        ("fit --algo hopls --x {x} --y {y} --r 0 --lambda 1 --out {tmp}/m.json", EXIT_USAGE),
+        ("cv --algo hopls --x {x} --y {y} --r-max 1 --folds 0", EXIT_USAGE),
+        ("cv --algo hopls --x {x} --y {y} --r-max 1 --folds 1", EXIT_USAGE),
+        ("bench --case 2t --seed 1 --folds 1", EXIT_USAGE),
     ], ids=[
         "cv-r-max", "cv-lambda-max", "bench-r-max", "bench-lambda-max", "bench-repeats",
         "synth-latent", "cv-order-1", "fit-all-zero", "predict-non-utf8-model",
+        "fit-r", "cv-folds-0", "cv-folds-1", "bench-folds",
     ])
     def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
         vec, zero = tmp_path / "vec.ten", tmp_path / "zero.ten"

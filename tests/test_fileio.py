@@ -15,6 +15,7 @@ from tensorpls import (
     FitConfig,
     fit_hopls,
     fit_hopls2,
+    fit_pls_nipals,
     load_model,
     read_tensor,
     save_model,
@@ -106,6 +107,16 @@ def block_data():
 @pytest.fixture(scope="module")
 def hopls_model(block_data):
     return fit_hopls(block_data.x, block_data.y, FitConfig(2, (2, 2), (2, 2)))
+
+
+@pytest.fixture(scope="module")
+def models(block_data, hopls_model):
+    """One fitted model per model type, two components each."""
+    return {
+        "hopls": hopls_model,
+        "hopls2": fit_hopls2(block_data.x, block_data.y[:, :, 0], FitConfig(2, (2, 2))),
+        "pls": fit_pls_nipals(block_data.x, block_data.y, 2),
+    }
 
 
 class TestModelFile:
@@ -211,6 +222,42 @@ class TestModelConsistency:
         rewrite_model(path, edit)
         with pytest.raises(FileFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("hopls", lambda d: d["components"][1]["x_loadings"][0].update(
+                array_record(np.ones((6, 3))))),
+            ("hopls", lambda d: d["components"][1]["y_loadings"][1].update(
+                array_record(np.ones((5, 2))))),
+            ("hopls", lambda d: d["components"][1].update(x_core=array_record(np.ones((1, 2, 3))))),
+            ("hopls", lambda d: d["components"][0].update(y_core=array_record(np.ones((2, 2))))),
+            ("hopls", lambda d: d["config"].update(x_ranks=[2])),
+            ("hopls2", lambda d: d["components"][1].update(x_core=array_record(np.ones((1, 3, 2))))),
+            ("hopls2", lambda d: d["components"][0]["x_loadings"][1].update(
+                array_record(np.ones((4, 2))))),
+            ("pls", lambda d: d.update(x_weights=array_record(np.ones((29, 2))))),
+            ("pls", lambda d: d.update(x_loadings=array_record(np.ones((31, 2))))),
+            ("pls", lambda d: d.update(y_loadings=array_record(np.ones((19, 2))))),
+            ("pls", lambda d: d.update(coefs=array_record(np.ones(3)))),
+            ("pls", lambda d: d.update(x_weights=array_record(np.ones(30)))),
+        ],
+        ids=[
+            "hopls-x_loadings", "hopls-y_loadings", "hopls-x_core", "hopls-y_core",
+            "hopls-x_ranks", "hopls2-x_core", "hopls2-x_loadings", "pls-x_weights",
+            "pls-x_loadings", "pls-y_loadings", "pls-coefs", "pls-1d-x_weights",
+        ],
+    )  # fmt: skip
+    def test_part_shapes_are_checked(self, tmp_path, block_data, models, name, edit):
+        path, x_path = tmp_path / "m.json", tmp_path / "x.ten"
+        save_model(path, models[name])
+        rewrite_model(path, edit)
+        with pytest.raises(FileFormatError):
+            load_model(path)
+        write_tensor(x_path, block_data.x_val)
+        assert cli_main([
+            "predict", "--model", str(path), "--x", str(x_path), "--out", str(tmp_path / "p.ten"),
+        ]) == EXIT_PARSE
 
     def test_derived_response_operator_is_checked(self, tmp_path, block_data):
         model = fit_hopls2(block_data.x, block_data.y[:, :, 0], FitConfig(2, (2, 2)))

@@ -1,9 +1,13 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from blocks import orthonormal, separated_block_data
-from oracles import pls_predict_sequential, rank_one_block
+from oracles import pls_predict_sequential, predict_unfolded, rank_one_block
 from tensorpls import (
     DegenerateDataError,
     FitConfig,
@@ -21,6 +25,7 @@ from tensorpls import (
     q_squared,
     tucker_assemble,
 )
+from tensorpls.regression import ALGORITHMS, algorithm
 
 
 def assert_column_orthonormal(f, tol=1e-10):
@@ -446,3 +451,72 @@ class TestPredictHopls2:
             for j in range(len(comp.q)):
                 by_hand[i, j] = comp.d * scores[i] * comp.q[j]
         np.testing.assert_allclose(pred, by_hand, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one predictor
+
+
+def distinct_dims(count, largest):
+    return st.lists(st.integers(2, largest), min_size=count, max_size=count, unique=True)
+
+
+@st.composite
+def predict_problems(draw, name):
+    """A model fitted by table entry ``name`` and a batch for it to predict.
+
+    X has order 2 (PLS only) to 5 and Y order 2 (always for HOPLS2) to 4,
+    with distinct mode sizes on each side, so that a feature order mixed
+    up between the unfolding and the row-major layout shows. The fit is
+    centred or not, and may stop before its first component (a huge
+    epsilon). The batch may be a strided, non-C-contiguous view.
+    """
+    n = draw(st.integers(3, 8))
+    x_order = draw(st.integers(2 if name == "pls" else 3, 5))
+    y_order = 2 if name == "hopls2" else draw(st.integers(2, 4))
+    x_dims = draw(distinct_dims(x_order - 1, 5))
+    y_dims = draw(distinct_dims(y_order - 1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, *x_dims)) + rng.standard_normal(x_dims)
+    y = rng.standard_normal((n, *y_dims)) + rng.standard_normal(y_dims)
+    algo = algorithm(name, y_order)
+    cfg = algo.config(
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, algo.lam_cap(x.shape, y.shape))),
+        x_order,
+        y_order,
+        center=draw(st.booleans()),
+        epsilon=draw(st.sampled_from([None, None, None, 1e300])),
+    )
+    wide = rng.standard_normal((draw(st.integers(1, 5)), *x_dims[:-1], 2 * x_dims[-1]))
+    x_new = wide[..., ::2] if draw(st.booleans()) else np.ascontiguousarray(wide[..., ::2])
+    return algo, algo.fit(x, y, cfg), x_new
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_predictor_matches_unfolded_formula(name, data):
+    algo, model, x_new = data.draw(predict_problems(name))
+    for r in range(model.n_components + 1):
+        want = predict_unfolded(model, x_new, r)
+        got = algo.predict(model, x_new, r)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_predict_allocates_only_its_output():
+    """No batch-sized temporary: the peak is the output plus operator-sized change."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((20, 16, 16))
+    y = rng.standard_normal((20, 16, 16))
+    model = fit_hopls(x, y, FitConfig(3, (2, 2), (2, 2)))
+    batch = rng.standard_normal((4000, 16, 16))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = predict_hopls(model, batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
