@@ -7,17 +7,29 @@ cores and fitted models bit-reproducible. Factor extraction inside
 HOSVD/HOOI switches to a Gram eigendecomposition for unfoldings much wider
 than tall (same vectors, much cheaper); :func:`truncated_svd` itself is
 always the plain LAPACK route.
+
+:func:`hosvd` and :func:`hooi` decompose either a tensor or the
+cross-covariance C = <a, b>_1 of a pair that shares the sample mode 0 (the
+regression residuals), in the memory-efficient Tucker manner of Kolda & Sun
+(ICDM 2008). C has prod(I) * prod(J) entries and is formed only when small:
+every sweep projection of C is the contraction over the N samples of the
+two sides projected on their factors, and the HOSVD Grams C_(n) C_(n)^T
+contract over an N x N sample Gram, or over the features (forming C) when C
+is the smaller array (N^2 > prod(I) * prod(J)) or the unfolding is narrow.
+A plain tensor T is the one-sample pair (T[None], ones(1)), so there is one
+engine for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, RankError, SvdConvergenceError
-from .tensor import fro_norm, matricize, mode_n_product, tucker_contract
+from .errors import DegenerateDataError, RankError, ShapeMismatchError, SvdConvergenceError
+from .tensor import cross_cov_mode1, fro_norm, matricize, mode_n_product, multi_mode_product
 
 __all__ = [
     "HooiSettings",
@@ -25,6 +37,7 @@ __all__ = [
     "truncated_svd",
     "leading_left_singular_vector",
     "validate_ranks",
+    "cross_cov_is_zero",
     "hosvd",
     "hooi",
 ]
@@ -149,9 +162,23 @@ def _orthonormal_complement(u: np.ndarray, extra: int) -> np.ndarray:
     return comp[:, :extra]
 
 
-# Unfoldings at least this many times wider than tall go through the Gram
-# eigendecomposition (same left singular vectors, much cheaper).
+# Unfoldings at least this many times wider than tall (columns >= 4 rows) get
+# their left singular vectors from the Gram eigendecomposition: the same
+# vectors, much cheaper. A narrower unfolding of a cross-covariance has fewer
+# than 4 * I_n^2 entries, so the HOSVD may form it and take its SVD.
 _WIDE_FACTOR = 4
+
+
+def _gram_factor(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k eigenvectors of a Gram matrix ``m m^T`` (the leading left
+    singular vectors of ``m``) with the singular values sqrt(eigenvalue)."""
+    try:
+        evals, evecs = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"eigh did not converge: {exc}") from exc
+    u = _fix_signs_left(evecs[:, ::-1][:, :k])
+    s = np.sqrt(np.clip(evals[::-1][:k], 0.0, None))
+    return u, s
 
 
 def _left_singular_factor(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,93 +187,183 @@ def _left_singular_factor(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     (the extra directions carry zero core weight, so reconstructions are
     unaffected)."""
     rows, cols = m.shape
-    k_eff = min(k, rows, cols)
     if cols >= _WIDE_FACTOR * rows:
-        try:
-            evals, evecs = np.linalg.eigh(m @ m.T)
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(f"eigh did not converge: {exc}") from exc
-        u = _fix_signs_left(evecs[:, ::-1][:, :k_eff])
-        s = np.sqrt(np.clip(evals[::-1][:k_eff], 0.0, None))
-    else:
-        try:
-            u_full, s_full, _ = np.linalg.svd(m, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-        u = _fix_signs_left(u_full[:, :k_eff])
-        s = s_full[:k_eff].copy()
+        return _gram_factor(m @ m.T, k)
+    k_eff = min(k, rows, cols)
+    try:
+        u_full, s_full, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    u = _fix_signs_left(u_full[:, :k_eff])
+    s = s_full[:k_eff].copy()
     if k_eff < k:
         u = np.hstack([u, _orthonormal_complement(u, k - k_eff)])
     return u, s
 
 
-def hosvd(t: np.ndarray, ranks: Sequence[int]) -> TuckerFactors:
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The factored form (a, b) of C = <a, b>_1, with the samples on mode 0.
+
+    A plain tensor ``a`` (``b`` None) is the one-sample pair
+    ``(a[None], ones(1))``: contracting over its single sample multiplies by
+    1.0, so C is ``a`` itself.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if b is None:
+        return a[None], np.ones(1)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim < 1 or b.ndim < 1 or a.shape[0] != b.shape[0]:
+        raise ShapeMismatchError(
+            f"a pair needs a shared sample mode 0, got shapes {a.shape} and {b.shape}"
+        )
+    return a, b
+
+
+def _over_samples(a: np.ndarray, b: np.ndarray) -> bool:
+    """The contraction order for C's Grams: over the N x N sample Gram of one
+    side when N^2 <= prod(I) prod(J), else over that side's features, which
+    forms C (then the smaller array). Tall data never builds an N x N array."""
+    return a.shape[0] ** 2 <= math.prod(a.shape[1:]) * math.prod(b.shape[1:])
+
+
+def _sample_gram(x: np.ndarray) -> np.ndarray:
+    flat = x.reshape(x.shape[0], -1)
+    return flat @ flat.T
+
+
+def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y>_1: the two sides contracted over their shared sample mode 0."""
+    n = x.shape[0]
+    return (x.reshape(n, -1).T @ y.reshape(n, -1)).reshape(x.shape[1:] + y.shape[1:])
+
+
+def _project(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """One side of a pair projected on its factors (modes 1.. of ``x``)."""
+    return multi_mode_product(x, factors, range(1, x.ndim), transpose=True)
+
+
+def cross_cov_is_zero(a, b) -> bool:
+    """Whether C = <a, b>_1 is exactly zero, decided from the pair.
+
+    ||C||^2 equals the inner product of the two N x N sample Grams,
+    <a_(0) a_(0)^T, b_(0) b_(0)^T>, and that sum is tested for zero. When C is
+    the smaller array (N^2 > prod(I) prod(J)) it is formed and tested entry
+    by entry instead.
+    """
+    a, b = _pair(a, b)
+    if _over_samples(a, b):
+        return float(np.vdot(_sample_gram(a), _sample_gram(b))) == 0.0
+    return not np.any(cross_cov_mode1(a, b))
+
+
+def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
+    """Per mode n, the leading left singular vectors of C_(n), C = <a, b>_1.
+
+    A wide unfolding takes them from C_(n) C_(n)^T. Over the samples that
+    Gram is sum_{s,s'} K[s,s'] x_s,(n) x_s',(n)^T, where x is the side that
+    carries mode n and K the other side's sample Gram: x weighted by K over
+    the samples, contracted with x over everything but mode n. Otherwise
+    (a narrow unfolding, or tall data) C is formed.
+    """
+    shape = a.shape[1:] + b.shape[1:]
+    size = math.prod(shape)
+    over_samples = _over_samples(a, b)
+    c = None
+    factors = []
+    for x, other in ((a, b), (b, a)):
+        weighted = None
+        for axis in range(1, x.ndim):
+            n = len(factors)
+            if over_samples and size >= _WIDE_FACTOR * shape[n] ** 2:
+                if weighted is None:
+                    flat = x.reshape(x.shape[0], -1)
+                    weighted = (_sample_gram(other) @ flat).reshape(x.shape)
+                gram = matricize(weighted, axis) @ matricize(x, axis).T
+                u, _ = _gram_factor(gram, ranks[n])
+            else:
+                if c is None:
+                    c = cross_cov_mode1(a, b)
+                u, _ = _left_singular_factor(matricize(c, n), ranks[n])
+            factors.append(u)
+    return factors
+
+
+def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> TuckerFactors:
     """Truncated higher-order SVD.
 
-    Factor ``n`` holds the leading ``ranks[n]`` left singular vectors of the
-    mode-``n`` matricization; the core is the projection of ``t`` onto all
-    factors.
+    Decomposes the tensor ``a``, or, given ``b``, the cross-covariance
+    C = <a, b>_1 (``a`` and ``b`` share the sample mode 0; C has the modes of
+    ``a`` then those of ``b``), forming C only when it is small. Factor ``n``
+    holds the leading ``ranks[n]`` left singular vectors of C's mode-n
+    matricization; the core is the projection of C onto all factors.
     """
-    t = np.asarray(t, dtype=np.float64)
-    ranks = validate_ranks(ranks, t.shape)
-    factors = tuple(
-        _left_singular_factor(matricize(t, n), r)[0] for n, r in enumerate(ranks)
-    )
-    core = tucker_contract(t, factors)
+    a, b = _pair(a, b)
+    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+    factors = tuple(_hosvd_factors(a, b, ranks))
+    n_a = a.ndim - 1
+    core = _contract(_project(a, factors[:n_a]), _project(b, factors[n_a:]))
     return TuckerFactors(core=core, factors=factors)
 
 
 def hooi(
-    t: np.ndarray,
+    a: np.ndarray,
     ranks: Sequence[int],
     settings: HooiSettings = HooiSettings(),
+    b: np.ndarray | None = None,
 ) -> TuckerFactors:
     """Higher-order orthogonal iteration, initialized from :func:`hosvd`.
 
-    Sweeps update the factors in ascending mode order; each update takes the
-    leading left singular vectors of the tensor projected on all *other*
-    modes' factors. The core-norm objective is non-decreasing across sweeps.
-    Non-convergence within ``max_iters`` is flagged on the result
-    (``converged=False``), not raised.
+    Decomposes the tensor ``a`` or, given ``b``, C = <a, b>_1 as in
+    :func:`hosvd`. Sweeps update the factors in ascending mode order; each
+    update takes the leading left singular vectors of C projected on all
+    *other* modes' factors. That projection is never taken on C: the side
+    carrying the mode is projected on its other factors, the other side on
+    all of its current factors, and the two are contracted over the samples.
+    The core-norm objective is non-decreasing across sweeps. Non-convergence
+    within ``max_iters`` is flagged on the result (``converged=False``), not
+    raised.
     """
-    t = np.asarray(t, dtype=np.float64)
-    ranks = validate_ranks(ranks, t.shape)
-    init = hosvd(t, ranks)
-    if ranks == t.shape:
+    a, b = _pair(a, b)
+    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+    init = hosvd(a, ranks, b)
+    objective = fro_norm(init.core) ** 2
+    if ranks == a.shape[1:] + b.shape[1:]:
         # full multilinear rank: any orthonormal full factors are exact, so
         # the initialization is already optimal and no sweep can improve it
-        return TuckerFactors(
-            core=init.core,
-            factors=init.factors,
-            objective_history=(fro_norm(init.core) ** 2,),
-            converged=True,
-        )
+        return replace(init, objective_history=(objective,))
     factors = list(init.factors)
-    objective = fro_norm(init.core) ** 2
+    n_a = a.ndim - 1
+    # each side projected on all of its factors, replaced as soon as a side's
+    # factors change: a stale projection still converges, to a wrong point
+    projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
     history = [objective]
     converged = False
     for _ in range(settings.max_iters):
-        # mode n's projection contracts modes 0..n-1 with the factors already
-        # updated in this sweep, then modes n+1.. with the previous ones; the
-        # first part is shared, so it is carried from one mode to the next
-        done = t
-        for n in range(t.ndim):
-            proj = done
-            for m in range(n + 1, t.ndim):
-                proj = mode_n_product(proj, factors[m].T, m)
-            factors[n], s = _left_singular_factor(matricize(proj, n), ranks[n])
-            if n + 1 < t.ndim:
-                done = mode_n_product(done, factors[n].T, n)
-        # after the last mode update the core is factors[-1]^T applied to
-        # that projection, so its squared norm is just sum(s^2)
+        for i, (x, first) in enumerate(((a, 0), (b, n_a))):
+            # mode n's projection takes the modes before n with the factors
+            # already updated in this sweep, then the later ones with the
+            # previous ones; the first part is carried from mode to mode
+            done = x
+            for n in range(x.ndim - 1):
+                proj = done
+                for m in range(n + 1, x.ndim - 1):
+                    proj = mode_n_product(proj, factors[first + m].T, m + 1)
+                other = projected[1 - i]
+                z = _contract(proj, other) if i == 0 else _contract(other, proj)
+                factors[first + n], s = _left_singular_factor(
+                    matricize(z, first + n), ranks[first + n]
+                )
+                done = mode_n_product(done, factors[first + n].T, n + 1)
+            projected[i] = done
+        # after the last mode update the core is that factor's transpose
+        # applied to its projection, so its squared norm is just sum(s^2)
         prev, objective = objective, float(s @ s)
         history.append(objective)
         if abs(objective - prev) <= settings.rel_tol * max(prev, np.finfo(float).tiny):
             converged = True
             break
-    core = tucker_contract(t, factors)
     return TuckerFactors(
-        core=core,
+        core=_contract(*projected),
         factors=tuple(factors),
         objective_history=tuple(history),
         converged=converged,

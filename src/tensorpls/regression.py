@@ -5,7 +5,9 @@ Three fitting routines live here:
 * :func:`fit_hopls` — tensor predictors, tensor responses. Each component is
   an orthogonal Tucker block sharing one latent vector between X and Y; the
   loadings come from an orthogonal Tucker decomposition of the mode-0
-  cross-covariance tensor of the current residuals.
+  cross-covariance tensor of the current residuals, taken through the
+  residuals themselves (:func:`~tensorpls.decomp.hooi` on the pair), so the
+  tensor is not formed unless it is small.
 * :func:`fit_hopls2` — tensor predictors, matrix responses; the response side
   collapses to a rank-one term ``d_r * t_r q_r^T`` per component.
 * :func:`fit_pls_nipals` — the classical two-way baseline.
@@ -43,16 +45,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import HooiSettings, hooi, leading_left_singular_vector, validate_ranks
+from .decomp import (
+    HooiSettings,
+    cross_cov_is_zero,
+    hooi,
+    leading_left_singular_vector,
+    validate_ranks,
+)
 from .errors import DegenerateDataError, RankError, ShapeMismatchError
 from .tensor import (
     as_matrix,
     astensor,
-    cross_cov_mode1,
     fro_norm,
     kron_all,
     matricize,
-    mode_n_product,
     multi_mode_product,
     tucker_assemble,
     tucker_contract,
@@ -374,16 +380,27 @@ def fit_hopls(
 ) -> HoplsModel:
     """Fit the tensor-to-tensor model by sequential deflation.
 
-    Per component: the cross-covariance tensor of the residuals is
-    decomposed at rank ``x_ranks + y_ranks`` by orthogonal iteration, giving
-    the X- and Y-loadings; the latent vector is the leading left singular
-    vector of the X-residual projected on the X-loadings; both cores follow
-    by contraction, and the fitted blocks are subtracted.
+    Per component: the cross-covariance tensor C = <E, F>_1 of the
+    residuals is decomposed at rank ``x_ranks + y_ranks`` by orthogonal
+    iteration, giving the X- and Y-loadings; the latent vector is the
+    leading left singular vector of the X-residual projected on the
+    X-loadings; both cores follow by contraction, and the fitted blocks are
+    subtracted.
+
+    C (prod(I) * prod(J) entries) is not formed unless it is small. Each
+    HOOI projection of C is E and F projected on their loadings and
+    contracted over the N samples. The HOSVD start gets C_(n) C_(n)^T by
+    weighting one residual with the other's N x N sample Gram; it forms C
+    only when N^2 exceeds the size of C, or for a narrow unfolding (fewer
+    than 4 * I_n^2 entries).
 
     Extraction stops early when a residual norm falls below epsilon
     (``stop_reason='epsilon'``), when the cross-covariance vanishes — no
     shared variance left — (``'zero_cross_cov'``), or degenerates
     (``'degenerate_core'``). The model keeps whatever components were found.
+    C counts as vanished when ||C||^2, computed in sample space as the inner
+    product of the two residuals' N x N sample Grams, is exactly zero (or,
+    when N^2 exceeds the size of C, when every entry of C is).
     """
     x = astensor(x)
     y = astensor(y)
@@ -399,10 +416,9 @@ def fit_hopls(
     n_modes_x = x.ndim - 1
 
     def step(e, f):
-        c = cross_cov_mode1(e, f)
-        if not np.any(c):
+        if cross_cov_is_zero(e, f):
             return "zero_cross_cov"
-        factors = hooi(c, ranks, hooi_settings).factors
+        factors = hooi(e, ranks, hooi_settings, b=f).factors
         ps, qs = factors[:n_modes_x], factors[n_modes_x:]
         proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
         if not np.any(proj):
@@ -439,9 +455,12 @@ def fit_hopls2(
 ) -> Hopls2Model:
     """Fit the tensor-to-matrix model.
 
-    The cross-covariance here is the residual tensor contracted with the
-    response matrix over mode 0; its rank-(1, x_ranks) decomposition yields
-    the unit response loading ``q_r`` and the X-loadings. The latent vector
+    The cross-covariance here is the response matrix contracted with the
+    residual tensor over mode 0, C = <F, E>_1 with the response mode first;
+    its rank-(1, x_ranks) decomposition yields the unit response loading
+    ``q_r`` and the X-loadings. As in :func:`fit_hopls`, C is not formed:
+    HOOI runs on the pair (F, E), and the ``'zero_cross_cov'`` stop is
+    decided from the sample Grams the same way. The latent vector
     sets the core's vectorization against the projected residual
     (pseudoinverse step) and is then normalized, all scale being absorbed
     into the regression scalar ``d_r``.
@@ -457,10 +476,9 @@ def fit_hopls2(
     ranks = (1,) + validate_ranks(cfg.x_ranks, x.shape[1:])
 
     def step(e, f):
-        c = mode_n_product(e, f.T, 0)
-        if not np.any(c):
+        if cross_cov_is_zero(f, e):
             return "zero_cross_cov"
-        tuck = hooi(c, ranks, hooi_settings)
+        tuck = hooi(f, ranks, hooi_settings, b=e)
         q = tuck.factors[0][:, 0]
         ps = tuck.factors[1:]
         c_core_row = matricize(tuck.core, 0)

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import gram_singular_values
 from tensorpls import (
     DegenerateDataError,
     HooiSettings,
     RankError,
+    ShapeMismatchError,
+    cross_cov_mode1,
     fro_norm,
     hooi,
     hosvd,
@@ -252,3 +258,91 @@ class TestHooi:
             HooiSettings(max_iters=0)
         with pytest.raises(ValueError):
             HooiSettings(rel_tol=0.0)
+
+
+def well_posed(n, x_dims, y_dims, ranks):
+    """Whether every HOOI factor of C = <e, f>_1 is unique (up to sign).
+
+    The projected mode-n unfolding that a sweep decomposes has rank at most
+    min(I_n, N * K_same, K_same * K_other), K being the product of the ranks
+    of the other modes on the same side and on the other side. A rank above
+    that leaves columns that any orthonormal completion fills, and later
+    updates see them: the optimum is not unique, so two correct
+    contraction orders may end at different points.
+    """
+    dims = tuple(x_dims) + tuple(y_dims)
+    for m, r in enumerate(ranks):
+        same = range(len(x_dims)) if m < len(x_dims) else range(len(x_dims), len(dims))
+        k_same = math.prod(ranks[j] for j in same if j != m)
+        k_other = math.prod(ranks[j] for j in range(len(dims)) if j not in same)
+        if r > min(dims[m], n * k_same, k_same * k_other):
+            return False
+    return True
+
+
+def pair_problem(seed, n, x_dims, y_dims, ranks, max_iters=30, rel_tol=1e-10):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n, *x_dims))
+    f = rng.standard_normal((n, *y_dims))
+    return e, f, tuple(ranks), HooiSettings(max_iters, rel_tol)
+
+
+@st.composite
+def pair_problems(draw):
+    """Residual pairs with sides of order 1-3, N in 1..8, dims in 1..5, any
+    ranks (the full rank included) for which HOOI is well posed."""
+    n = draw(st.integers(1, 8))
+    x_dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    y_dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    dims = x_dims + y_dims
+    if draw(st.booleans()):
+        ranks = dims
+    else:
+        ranks = [draw(st.integers(1, d)) for d in dims]
+    assume(well_posed(n, x_dims, y_dims, ranks))
+    return pair_problem(
+        draw(st.integers(0, 2**32 - 1)),
+        n,
+        x_dims,
+        y_dims,
+        ranks,
+        draw(st.integers(1, 30)),
+        10.0 ** -draw(st.integers(4, 10)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=pair_problems())
+# a matrix side, as in HOPLS2 (response mode first)
+@example(problem=pair_problem(1, 6, (4,), (5, 5), (1, 2, 2)))
+# a narrow unfolding (mode 0) next to wide ones
+@example(problem=pair_problem(2, 2, (6, 2), (3,), (2, 2, 1)))
+# rank-deficient C: N = 2 below every rank
+@example(problem=pair_problem(3, 2, (5, 5), (5, 5), (3, 3, 3, 3)))
+# the full-rank shortcut
+@example(problem=pair_problem(4, 3, (2, 3), (2,), (2, 3, 2)))
+# sides of order 3
+@example(problem=pair_problem(5, 4, (3, 3, 2), (2, 3, 3), (2, 2, 1, 1, 2, 2)))
+# tall data: N^2 above the size of C, which is then formed
+@example(problem=pair_problem(6, 8, (2, 2), (3,), (2, 2, 2)))
+def test_factored_pair_matches_dense_cross_covariance(problem):
+    """HOSVD and HOOI of the pair (e, f) are those of C = <e, f>_1 formed."""
+    e, f, ranks, hooi_settings = problem
+    c = cross_cov_mode1(e, f)
+    for dense, factored in (
+        (hosvd(c, ranks), hosvd(e, ranks, b=f)),
+        (hooi(c, ranks, hooi_settings), hooi(e, ranks, hooi_settings, b=f)),
+    ):
+        assert len(factored.objective_history) == len(dense.objective_history)
+        assert factored.converged == dense.converged
+        np.testing.assert_allclose(
+            factored.objective_history, dense.objective_history, rtol=1e-12, atol=0
+        )
+        for u, v in zip(factored.factors, dense.factors):
+            assert np.abs(u - v).max() <= 1e-10
+        assert np.abs(factored.core - dense.core).max() <= 1e-10 * fro_norm(c)
+
+
+def test_pair_needs_a_shared_sample_mode():
+    with pytest.raises(ShapeMismatchError):
+        hooi(np.ones((3, 2)), (1,), b=np.ones((4, 2)))

@@ -223,6 +223,22 @@ class TestFitHopls:
         pred = predict_hopls(model, x)
         np.testing.assert_allclose(pred, np.broadcast_to(model.y_mean, pred.shape))
 
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_exactly_zero_cross_covariance_of_nonzero_residuals(self, n):
+        # X lives on sample 0 and Y on sample 1, so C = <X, Y>_1 is exactly
+        # zero while neither residual is; N = 12 puts N^2 above the size of
+        # C, where the check forms C instead of the sample Grams
+        rng = np.random.default_rng(14)
+        x = np.zeros((n, 3, 3))
+        y = np.zeros((n, 3, 3))
+        x[0] = rng.standard_normal((3, 3))
+        y[1] = rng.standard_normal((3, 3))
+        for model in (
+            fit_hopls(x, y, FitConfig(2, (2, 2), (2, 2), center=False)),
+            fit_hopls2(x, y[:, :, 0], FitConfig(2, (2, 2), center=False)),
+        ):
+            assert (model.n_components, model.stop_reason) == (0, "zero_cross_cov")
+
     def test_rank_one_reduction_structure(self):
         # all loading counts 1: every block is an outer product of vectors
         rng = np.random.default_rng(11)
@@ -505,6 +521,17 @@ def test_predictor_matches_unfolded_formula(name, data):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def peak_bytes(call):
+    """``call()``'s result and the peak of traced allocation during it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_predict_allocates_only_its_output():
     """No batch-sized temporary: the peak is the output plus operator-sized change."""
     rng = np.random.default_rng(21)
@@ -512,11 +539,23 @@ def test_predict_allocates_only_its_output():
     y = rng.standard_normal((20, 16, 16))
     model = fit_hopls(x, y, FitConfig(3, (2, 2), (2, 2)))
     batch = rng.standard_normal((4000, 16, 16))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = predict_hopls(model, batch)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(lambda: predict_hopls(model, batch))
     assert peak <= 1.25 * out.nbytes
+
+
+def test_fit_never_forms_the_cross_covariance():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((20, 24, 24))
+    y = rng.standard_normal((20, 24, 24))
+    cross_cov_bytes = 8 * 24**4  # 2.65 MB
+    _, peak = peak_bytes(lambda: fit_hopls(x, y, FitConfig(3, (2, 2), (2, 2))))
+    assert peak < cross_cov_bytes / 4
+
+
+def test_tall_fit_builds_no_sample_gram():
+    # an N x N Gram here would be 128 MB; C is 648 bytes
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((4000, 3, 3))
+    y = rng.standard_normal((4000, 3, 3))
+    _, peak = peak_bytes(lambda: fit_hopls(x, y, FitConfig(2, (2, 2), (2, 2))))
+    assert peak < 4 * (x.nbytes + y.nbytes)
