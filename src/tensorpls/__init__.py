@@ -38,11 +38,10 @@ from .evaluate import (
     q_squared_per_column,
     rmsep,
 )
-from .fileio import load_model, model_checksum, read_tensor, save_model, write_tensor
+from .fileio import load_model, read_tensor, save_model, write_tensor
 from .regression import (
     ALGORITHMS,
     FitConfig,
-    Hopls2Model,
     HoplsModel,
     PlsModel,
     center_mode1,

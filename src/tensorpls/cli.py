@@ -66,8 +66,8 @@ def _parse_snr(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise _UsageError(f"invalid SNR value {text!r}") from exc
-    if math.isnan(value):
-        raise _UsageError("SNR cannot be NaN")
+    if math.isnan(value) or value == -math.inf:
+        raise _UsageError(f"SNR must be a number or 'inf', got {text!r}")
     return value
 
 
@@ -85,6 +85,11 @@ def _count(text: str, least: int = 1) -> int:
 def _fold_count(text: str) -> int:
     """The argparse type of ``--folds``: k-fold CV needs at least 2 folds."""
     return _count(text, 2)
+
+
+def _seed(text: str) -> int:
+    """The argparse type of the seed flags: numpy seeds are non-negative."""
+    return _count(text, 0)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -345,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     p.add_argument("--case", required=True, choices=sorted(CASE_SHAPES))
     p.add_argument("--snr", default="inf", help="SNR in dB, or 'inf' for noiseless")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--noise-seed", type=_seed, default=None)
     p.add_argument("--latent", type=_count, default=5)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=sorted(CASE_SHAPES))
     p.add_argument("--repeats", type=_count, default=50)
     p.add_argument("--snr-list", default="10,5,0,-5")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--r-max", type=_count, default=10)
     p.add_argument("--lambda-max", type=_count, default=10)

@@ -173,6 +173,9 @@ class SynthSpec:
             raise ValueError(f"unknown loading_dist {self.loading_dist!r}")
         if self.n_latent < 1:
             raise ValueError("n_latent must be >= 1")
+        # written so that NaN fails too; +inf means noiseless
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
         if self.x_shape[0] != self.y_shape[0]:
             raise ShapeMismatchError("X and Y must share the sample dimension")
         if self.kind == "matrix-response":

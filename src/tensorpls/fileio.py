@@ -14,11 +14,16 @@ bit-exactly. A sha256 checksum over the canonical serialization (sorted
 keys, no whitespace, checksum field excluded) guards integrity. The same
 model always serializes to the same bytes.
 
-Every model type shares one schema: ``format``, ``version``, the ``algo``
-tag from :data:`tensorpls.regression.ALGORITHMS`, ``checksum``, and one key
-per field of the model's dataclass (nested dataclasses become objects,
-tuples become lists, arrays become ``{"shape", "data"}`` records). Loading
-rebuilds the model from its field annotations and then checks that it is
+Every model type shares one schema (version 3): ``format``, ``version``,
+the ``algo`` tag, ``checksum``, and one key per field of the model's
+dataclass (nested dataclasses become objects, tuples become lists, arrays
+become ``{"shape", "data"}`` records). A file holds the model's parameters
+only; the prediction operators are derived from them on loading. The tag is
+the one :func:`tensorpls.regression.algorithm_of` gives the model:
+``hopls`` or ``hopls2`` (a Tucker-block model of a tensor or a matrix
+response) or ``pls``. Loading rebuilds the model from its field annotations,
+rejects a missing or an extra key, an earlier version and a tag that
+disagrees with the response order, and then checks that the model is
 internally consistent.
 """
 
@@ -36,20 +41,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .regression import ALGORITHMS, STOP_REASONS, HoplsModel, PlsModel, algorithm_of
+from .regression import ALGORITHMS, STOP_REASONS, PlsModel, algorithm_of
 
 __all__ = [
     "read_tensor",
     "write_tensor",
     "save_model",
     "load_model",
-    "model_checksum",
     "write_json",
 ]
 
 TENSOR_MAGIC = "TEN1"
 MODEL_FORMAT = "tensorpls-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -159,10 +163,11 @@ def _decode(obj, hint):
     if hint is np.ndarray:
         return _decode_array(obj)
     if dataclasses.is_dataclass(hint):
+        names = [f.name for f in dataclasses.fields(hint)]
+        if not isinstance(obj, dict) or set(obj) != set(names):
+            raise FileFormatError(f"{hint.__name__} record does not have the keys {names}")
         hints = typing.get_type_hints(hint)
-        return hint(
-            **{f.name: _decode(obj[f.name], hints[f.name]) for f in dataclasses.fields(hint)}
-        )
+        return hint(**{name: _decode(obj[name], hints[name]) for name in names})
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return tuple(_decode(v, args[0]) for v in obj)
@@ -184,18 +189,22 @@ def _model_from_doc(doc: dict):
     tag = doc.get("algo")
     if tag not in ALGORITHMS or ALGORITHMS[tag].tag != tag:
         raise FileFormatError(f"unknown model algo tag {tag!r}")
-    return _decode(doc, ALGORITHMS[tag].model_type)
+    body = {k: v for k, v in doc.items() if k not in ("format", "version", "algo", "checksum")}
+    model = _decode(body, ALGORITHMS[tag].model_type)
+    if algorithm_of(model).tag != tag:
+        raise FileFormatError(f"algo tag {tag!r} does not match the response order")
+    return model
 
 
 def _shape_checks(model):
     """Yield ``(what, got, expected)`` for every size a model file fixes.
 
-    First the arrays stored per component: HOPLS and HOPLS2 loadings and
-    cores follow from ``x_shape``/``y_shape`` and the config's loading
-    counts; PLS weights and loadings have one row per feature and one column
-    per coefficient. Then the operators, which PLS and HOPLS2 derive from
-    those arrays (a generator, so that they are derived only after the
-    arrays passed), the residual norms and the means.
+    First the stored arrays: Tucker-block loadings and cores follow from
+    ``x_shape``/``y_shape`` and the config's loading counts (a matrix
+    response has one loading); PLS weights and loadings have one row per
+    feature and one column per coefficient. Then the operators, which every
+    model derives from those arrays (a generator, so that they are derived
+    only after the arrays passed), the residual norms and the means.
     """
     n_x, n_y, n = math.prod(model.x_shape), math.prod(model.y_shape), model.n_components
     if isinstance(model, PlsModel):
@@ -205,20 +214,17 @@ def _shape_checks(model):
         yield "coefs", model.coefs.shape, (n,)
     else:
         cfg = model.config
-        tensor_y = isinstance(model, HoplsModel)
+        y_ranks = cfg.y_ranks if len(model.y_shape) > 1 else (1,)
         yield "x loading count", len(cfg.x_ranks), len(model.x_shape)
-        if tensor_y:
-            yield "y loading count", len(cfg.y_ranks), len(model.y_shape)
+        yield "y loading count", len(y_ranks), len(model.y_shape)
         for i, c in enumerate(model.components, 1):
-            yield (f"component {i} x loadings", tuple(p.shape for p in c.x_loadings),
-                   tuple(zip(model.x_shape, cfg.x_ranks)))  # fmt: skip
-            yield f"component {i} x core", c.x_core.shape, (1,) + cfg.x_ranks
-            if tensor_y:
-                yield (f"component {i} y loadings", tuple(q.shape for q in c.y_loadings),
-                       tuple(zip(model.y_shape, cfg.y_ranks)))  # fmt: skip
-                yield f"component {i} y core", c.y_core.shape, (1,) + cfg.y_ranks
-            else:
-                yield f"component {i} q", c.q.shape, model.y_shape
+            for side, shape, ranks, loadings, core in (
+                ("x", model.x_shape, cfg.x_ranks, c.x_loadings, c.x_core),
+                ("y", model.y_shape, y_ranks, c.y_loadings, c.y_core),
+            ):
+                yield (f"component {i} {side} loadings", tuple(p.shape for p in loadings),
+                       tuple(zip(shape, ranks)))  # fmt: skip
+                yield f"component {i} {side} core", core.shape, (1,) + ranks
     yield "score operator", model.score_operator.shape, (n_x, n)
     yield "response operator", model.response_operator.shape, (n_y, n)
     yield "x residual norm count", len(model.x_residual_norms), n + 1
@@ -228,7 +234,7 @@ def _shape_checks(model):
 
 
 def _check_consistent(model) -> None:
-    """Raise ValueError unless the stored arrays, operators, norms and means agree."""
+    """Raise ValueError unless the stored arrays, derived operators, norms and means agree."""
     if model.stop_reason not in STOP_REASONS:
         raise ValueError(f"unknown stop_reason {model.stop_reason!r}")
     for what, got, want in _shape_checks(model):
@@ -267,6 +273,7 @@ def load_model(path):
 
     Verifies the format tag, the checksum and the version, and that the
     model is internally consistent; any failure raises FileFormatError.
+    The operators are derived here, so a model that loads predicts.
     """
     doc = _read_doc(path)
     if doc.get("version") != MODEL_VERSION:
@@ -276,15 +283,11 @@ def load_model(path):
         _check_consistent(model)
     except FileFormatError:
         raise
-    # IndexError: an array with too few axes (a 1-D PLS weight matrix, say)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+    # IndexError: an array with too few axes (a 1-D PLS weight matrix, say);
+    # OverflowError: an integer field holding a float too large for JSON (inf)
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc
     return model
-
-
-def model_checksum(path) -> str:
-    """Checksum stated in a model file (verifying it against the payload)."""
-    return _read_doc(path)["checksum"]
 
 
 def write_json(path, doc: dict) -> None:

@@ -9,7 +9,8 @@ Three fitting routines live here:
   residuals themselves (:func:`~tensorpls.decomp.hooi` on the pair), so the
   tensor is not formed unless it is small.
 * :func:`fit_hopls2` — tensor predictors, matrix responses; the response side
-  collapses to a rank-one term ``d_r * t_r q_r^T`` per component.
+  collapses to a rank-one term ``d_r * t_r q_r^T`` per component, the
+  Tucker block with one loading ``q_r`` and the 1 x 1 core ``[[d_r]]``.
 * :func:`fit_pls_nipals` — the classical two-way baseline.
 
 An N-PLS-style baseline is the all-ranks-one configuration of
@@ -19,8 +20,10 @@ produces are plain outer products.
 All three run one deflation loop (:func:`_deflate`): centre, extract one
 component from the running residuals, subtract its fitted block from both,
 and stop when a residual is used up (under epsilon, exactly zero) or the
-requested count is reached. Only the per-component step differs, and every
-model shares the fields of :class:`FittedModel`.
+requested count is reached. Only the per-component step differs. There are
+two model records, both :class:`FittedModel`: :class:`HoplsModel` holds the
+Tucker blocks of HOPLS, HOPLS2 and N-PLS, :class:`PlsModel` the NIPALS
+vectors.
 
 Latent vectors have unit norm, all loading matrices are column-orthonormal,
 and models are immutable after fitting. Mode-0 mean-centering is on by
@@ -28,7 +31,8 @@ default and is undone at prediction time. Residual norms never increase.
 
 Every model is a linear predictor with two operators: a score operator W
 (X features x R) and a response operator (Y features x R), their rows in
-the mode-0 unfolding's feature order. Prediction is
+the mode-0 unfolding's feature order. A model stores only its parameters
+and derives both operators from them, once per model. Prediction is
 ``fold((X - x_mean)_(0) W  response_operator^T) + y_mean`` for all of them;
 :func:`_predict` computes it on the batch's row-major layout instead, with
 both operators' rows permuted to C order, so it matches the unfolded
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,8 +76,6 @@ __all__ = [
     "FittedModel",
     "HoplsComponent",
     "HoplsModel",
-    "Hopls2Component",
-    "Hopls2Model",
     "PlsModel",
     "STOP_REASONS",
     "algorithm",
@@ -163,6 +166,10 @@ class FittedModel:
     ``x_shape``/``y_shape`` are the trailing (non-sample) shapes of the
     training data, the means are None when fitted uncentred, and the
     residual norms hold the initial norm plus one entry per component.
+
+    A model stores its parameters only; each subclass derives
+    ``score_operator`` and ``response_operator`` from them as cached
+    properties, so they are never saved and a ``replace``d model derives its own.
     """
 
     x_shape: tuple[int, ...]
@@ -193,50 +200,34 @@ class HoplsComponent:
 
 @dataclass(frozen=True)
 class HoplsModel(FittedModel):
-    """Fitted tensor-to-tensor model.
+    """Fitted sum of Tucker blocks: HOPLS, N-PLS and, on a matrix response, HOPLS2.
 
     The score operator is the paper's W = (P_N (x) ... (x) P_2) G^+ and the
-    response operator (Q_M (x) ... (x) Q_2) D^T, one column per component.
+    response operator (Q_M (x) ... (x) Q_2) D^T, one column per component;
+    for a matrix response the column is ``q_r [[d_r]]``, that is ``d_r q_r``.
     """
 
     config: FitConfig
     components: tuple[HoplsComponent, ...]
-    score_operator: np.ndarray
-    response_operator: np.ndarray
 
     @property
     def n_components(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def score_operator(self) -> np.ndarray:
+        return _columns(
+            [kron_all(c.x_loadings[::-1]) @ _row_pinv(matricize(c.x_core, 0))
+             for c in self.components],
+            math.prod(self.x_shape),
+        )  # fmt: skip
 
-@dataclass(frozen=True)
-class Hopls2Component:
-    t: np.ndarray
-    x_loadings: tuple[np.ndarray, ...]
-    x_core: np.ndarray
-    q: np.ndarray
-    d: float
-
-    def x_block(self) -> np.ndarray:
-        return tucker_assemble(self.x_core, (self.t[:, None],) + self.x_loadings)
-
-
-@dataclass(frozen=True)
-class Hopls2Model(FittedModel):
-    """Fitted tensor-to-matrix model: Y ~ sum_r d_r * t_r q_r^T."""
-
-    config: FitConfig
-    components: tuple[Hopls2Component, ...]
-    score_operator: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
+    @cached_property
     def response_operator(self) -> np.ndarray:
-        """Columns ``d_r q_r``, derived from the components."""
-        return _columns([c.d * c.q for c in self.components], math.prod(self.y_shape))
+        return _columns(
+            [kron_all(c.y_loadings[::-1]) @ matricize(c.y_core, 0).T for c in self.components],
+            math.prod(self.y_shape),
+        )
 
 
 @dataclass(frozen=True)
@@ -256,7 +247,7 @@ class PlsModel(FittedModel):
     def n_components(self) -> int:
         return self.x_weights.shape[1]
 
-    @property
+    @cached_property
     def score_operator(self) -> np.ndarray:
         """R = W (P^T W)^-1, so that the training scores are T = X R.
 
@@ -266,7 +257,7 @@ class PlsModel(FittedModel):
         pw = self.x_loadings.T @ self.x_weights
         return np.linalg.solve(pw.T, self.x_weights.T).T
 
-    @property
+    @cached_property
     def response_operator(self) -> np.ndarray:
         return self.y_loadings * self.coefs
 
@@ -364,14 +355,6 @@ def _deflate(x, y, n_components: int, epsilon, center: bool, step, unfold=False)
     return shared, parts
 
 
-def _score_operator(components, n_x_feat: int) -> np.ndarray:
-    """The paper's W: one column (P_N (x) ... (x) P_2) g_r^+ per component."""
-    return _columns(
-        [kron_all(c.x_loadings[::-1]) @ _row_pinv(matricize(c.x_core, 0)) for c in components],
-        n_x_feat,
-    )
-
-
 def fit_hopls(
     x,
     y,
@@ -435,16 +418,7 @@ def fit_hopls(
         return e - comp.x_block(), f - comp.y_block(), comp
 
     shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
-    return HoplsModel(
-        config=cfg,
-        components=tuple(components),
-        score_operator=_score_operator(components, math.prod(x.shape[1:])),
-        response_operator=_columns(
-            [kron_all(c.y_loadings[::-1]) @ matricize(c.y_core, 0).T for c in components],
-            math.prod(y.shape[1:]),
-        ),
-        **shared,
-    )
+    return HoplsModel(config=cfg, components=tuple(components), **shared)
 
 
 def fit_hopls2(
@@ -452,7 +426,7 @@ def fit_hopls2(
     y,
     cfg: FitConfig,
     hooi_settings: HooiSettings = HooiSettings(),
-) -> Hopls2Model:
+) -> HoplsModel:
     """Fit the tensor-to-matrix model.
 
     The cross-covariance here is the response matrix contracted with the
@@ -463,7 +437,7 @@ def fit_hopls2(
     decided from the sample Grams the same way. The latent vector
     sets the core's vectorization against the projected residual
     (pseudoinverse step) and is then normalized, all scale being absorbed
-    into the regression scalar ``d_r``.
+    into the regression scalar ``d_r``, recorded as the 1 x 1 Y core ``[[d_r]]``.
     """
     x = astensor(x)
     y = as_matrix(y)
@@ -490,22 +464,18 @@ def fit_hopls2(
         if norm_t == 0.0:
             return "degenerate_core"
         t = (t_raw / norm_t).ravel()
-        comp = Hopls2Component(
+        d = float((f @ q) @ t)
+        comp = HoplsComponent(
             t=t,
             x_loadings=ps,
+            y_loadings=(q[:, None],),
             x_core=tucker_contract(e, (t[:, None],) + ps),
-            q=q,
-            d=float((f @ q) @ t),
+            y_core=np.array([[d]]),
         )
-        return e - comp.x_block(), f - comp.d * np.outer(t, q), comp
+        return e - comp.x_block(), f - d * np.outer(t, q), comp
 
     shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
-    return Hopls2Model(
-        config=cfg,
-        components=tuple(components),
-        score_operator=_score_operator(components, math.prod(x.shape[1:])),
-        **shared,
-    )
+    return HoplsModel(config=cfg, components=tuple(components), **shared)
 
 
 def _nipals_step(e: np.ndarray, f: np.ndarray):
@@ -636,7 +606,7 @@ def predict_hopls(
 
 
 def predict_hopls2(
-    model: Hopls2Model, x_new, n_components: int | None = None
+    model: HoplsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
     """Predict a matrix response: ``X_(0) W D Q^T`` plus the training mean."""
     return _predict(model, x_new, n_components)
@@ -704,7 +674,7 @@ ALGORITHMS = {
     for a in (
         Algorithm("hopls", "fit_hopls", "predict_hopls", HoplsModel, "hopls",
                   y_ranked=True, matrix_y="hopls2"),
-        Algorithm("hopls2", "fit_hopls2", "predict_hopls2", Hopls2Model, "hopls2",
+        Algorithm("hopls2", "fit_hopls2", "predict_hopls2", HoplsModel, "hopls2",
                   y_ranked=False),
         Algorithm("npls", "fit_hopls", "predict_hopls", HoplsModel, "hopls",
                   y_ranked=True, fixed_lam=1, matrix_y="hopls2"),
@@ -726,8 +696,8 @@ def algorithm(name: str, y_order: int) -> Algorithm:
 
 
 def algorithm_of(model) -> Algorithm:
-    """The entry named by the model-file tag of a fitted model."""
+    """The entry that predicts with a fitted model, by its type and response order."""
     for algo in ALGORITHMS.values():
         if type(model) is algo.model_type:
-            return ALGORITHMS[algo.tag]
+            return algorithm(algo.tag, len(model.y_shape) + 1)
     raise TypeError(f"not a fitted model: {type(model).__name__}")

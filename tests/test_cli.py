@@ -9,7 +9,6 @@ import pytest
 
 from tensorpls import read_tensor, write_tensor
 from tensorpls.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from tensorpls.fileio import model_checksum
 
 
 def run(args):
@@ -64,7 +63,7 @@ class TestFit:
                 "--y", str(synth_dir / "Y.ten"), "--r", "3", "--lambda", "2"]
         assert run(base + ["--out", str(m1)]) == EXIT_OK
         assert run(base + ["--out", str(m2)]) == EXIT_OK
-        assert model_checksum(m1) == model_checksum(m2)
+        assert json.loads(m1.read_bytes())["checksum"] == json.loads(m2.read_bytes())["checksum"]
         assert m1.read_bytes() == m2.read_bytes()
 
     def test_npls_rejects_conflicting_lambda(self, synth_dir, tmp_path):
@@ -412,10 +411,16 @@ class TestExitCodes:
         ("cv --algo hopls --x {x} --y {y} --r-max 1 --folds 0", EXIT_USAGE),
         ("cv --algo hopls --x {x} --y {y} --r-max 1 --folds 1", EXIT_USAGE),
         ("bench --case 2t --seed 1 --folds 1", EXIT_USAGE),
+        ("synth --case 2t --seed -1 --out-dir {tmp}/z", EXIT_USAGE),
+        ("synth --case 2t --seed 1 --noise-seed -3 --out-dir {tmp}/z", EXIT_USAGE),
+        ("bench --case 2t --seed -1", EXIT_USAGE),
+        ("synth --case 2t --snr=-inf --seed 1 --out-dir {tmp}/z", EXIT_USAGE),
+        ("bench --case 2t --seed 1 --snr-list 10,-inf", EXIT_USAGE),
     ], ids=[
         "cv-r-max", "cv-lambda-max", "bench-r-max", "bench-lambda-max", "bench-repeats",
         "synth-latent", "cv-order-1", "fit-all-zero", "predict-non-utf8-model",
-        "fit-r", "cv-folds-0", "cv-folds-1", "bench-folds",
+        "fit-r", "cv-folds-0", "cv-folds-1", "bench-folds", "synth-seed",
+        "synth-noise-seed", "bench-seed", "synth-snr-minus-inf", "bench-snr-list-minus-inf",
     ])
     def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
         vec, zero = tmp_path / "vec.ten", tmp_path / "zero.ten"

@@ -101,6 +101,12 @@ class TestSynthSpec:
         with pytest.raises(ShapeMismatchError):
             SynthSpec("matrix-response", (5, 5, 5), (5, 2))
 
+    @pytest.mark.parametrize("snr", [-math.inf, math.nan])
+    def test_snr_must_be_a_number_or_plus_inf(self, snr):
+        # -inf once passed as noiseless: the noise step tested isinf only
+        with pytest.raises(ValueError):
+            SynthSpec.from_case("2m", snr, 0)
+
     def test_case_shapes(self):
         assert SynthSpec.from_case("1m", 10.0, 0).x_shape == (20, 10, 10)
         assert SynthSpec.from_case("2m", 10.0, 0).x_shape == (10, 10, 10)

@@ -21,9 +21,8 @@ from tensorpls import (
     save_model,
     write_tensor,
 )
-from tensorpls.cli import EXIT_PARSE
+from tensorpls.cli import EXIT_NUMERIC, EXIT_PARSE
 from tensorpls.cli import main as cli_main
-from tensorpls.fileio import model_checksum
 from tensorpls.regression import algorithm
 
 
@@ -164,7 +163,10 @@ class TestModelFile:
     def test_checksum_matches_stated(self, tmp_path, hopls_model):
         path = tmp_path / "m.json"
         stated = save_model(path, hopls_model)
-        assert model_checksum(path) == stated
+        doc = json.loads(path.read_bytes())
+        assert doc.pop("checksum") == stated
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(canonical).hexdigest() == stated
 
     def test_rejects_non_model_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -177,8 +179,6 @@ class TestModelFile:
         write_tensor(path, np.full(3, -1.0))  # the payload bytes are not UTF-8
         with pytest.raises(FileFormatError):
             load_model(path)
-        with pytest.raises(FileFormatError):
-            model_checksum(path)
 
     def test_config_echo_preserved(self, tmp_path, hopls_model):
         path = tmp_path / "m.json"
@@ -259,13 +259,44 @@ class TestModelConsistency:
             "predict", "--model", str(path), "--x", str(x_path), "--out", str(tmp_path / "p.ten"),
         ]) == EXIT_PARSE
 
-    def test_derived_response_operator_is_checked(self, tmp_path, block_data):
-        model = fit_hopls2(block_data.x, block_data.y[:, :, 0], FitConfig(2, (2, 2)))
+    def test_derived_response_operator_is_checked(self, tmp_path, models):
         path = tmp_path / "m.json"
-        save_model(path, model)
-        rewrite_model(path, lambda d: d["components"][1].update(q=array_record(np.ones(3))))
+        save_model(path, models["hopls2"])
+        rewrite_model(path, lambda d: d["components"][1]["y_loadings"][0].update(
+            array_record(np.ones((3, 1)))))
         with pytest.raises(FileFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("hopls", lambda d: d.update(version=2)),
+            ("hopls", lambda d: d.update(extra=1)),
+            ("hopls", lambda d: d["config"].update(extra=1)),
+            ("hopls2", lambda d: d["components"][0].update(q=array_record(np.ones(5)))),
+            ("hopls", lambda d: d.update(algo="hopls2")),
+            ("hopls2", lambda d: d.update(algo="hopls")),
+            ("pls", lambda d: d.update(algo="hopls")),
+        ],
+        ids=["version-2", "extra-key", "extra-config-key", "extra-component-key",
+             "hopls2-tag-on-tensor-response", "hopls-tag-on-matrix-response", "pls-as-hopls"],
+    )  # fmt: skip
+    def test_schema_violation_exits_3(self, tmp_path, block_data, models, name, edit):
+        path, x_path = tmp_path / "m.json", tmp_path / "x.ten"
+        save_model(path, models[name])
+        rewrite_model(path, edit)
+        write_tensor(x_path, block_data.x_val)
+        assert cli_main([
+            "predict", "--model", str(path), "--x", str(x_path), "--out", str(tmp_path / "p.ten"),
+        ]) == EXIT_PARSE
+
+    def test_file_holds_parameters_only(self, tmp_path, models):
+        for name, model in models.items():
+            path = tmp_path / f"{name}.json"
+            save_model(path, model)
+            doc = json.loads(path.read_bytes())
+            assert doc["version"] == 3
+            assert "score_operator" not in doc and "response_operator" not in doc
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +369,48 @@ def test_malformed_tensor_file_is_file_format_error(tmp_path_factory, blob):
         read_tensor(path)
     except FileFormatError:
         assert cli_main(["eval", "--y-true", str(path), "--y-pred", str(path)]) == EXIT_PARSE
+
+
+def document_paths(node, path=()):
+    """Every key and index path in a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from document_paths(child, path + (key,))
+
+
+# Small JSON values: none of them can make the loader allocate much.
+# 1e400 parses as inf, which no integer field can hold.
+SMALL_JSON_VALUES = ("1e400", "-1", "0", '""', "null", "[]", "{}")
+
+
+@pytest.mark.parametrize("name", ["hopls", "hopls2", "pls"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_field_set_to_a_small_value_gives_an_exit_code(
+    tmp_path_factory, block_data, models, name, data
+):
+    base = tmp_path_factory.getbasetemp()
+    path, x_path = base / f"field-{name}.json", base / "field-x.ten"
+    save_model(path, models[name])
+    doc = json.loads(path.read_bytes())
+    doc.pop("checksum")
+    where = data.draw(st.sampled_from(sorted(document_paths(doc), key=repr)))
+    text = data.draw(st.sampled_from(SMALL_JSON_VALUES))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = json.loads(text)
+    doc["checksum"] = hashlib.sha256(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    # json writes inf as Infinity; write the literal 1e400 a file would hold
+    path.write_bytes(json.dumps(doc, sort_keys=True).replace("Infinity", "1e400").encode())
+    write_tensor(x_path, block_data.x_val)
+    code = cli_main([
+        "predict", "--model", str(path), "--x", str(x_path), "--out", str(base / "p.ten"),
+    ])
+    assert code in (0, EXIT_PARSE, EXIT_NUMERIC)

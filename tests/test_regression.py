@@ -352,6 +352,20 @@ class TestPredictHopls:
             pred, np.broadcast_to(model.y_mean, (5, 3, 2)), atol=1e-10
         )
 
+    def test_zero_y_cores_predict_mean(self):
+        # the operators are derived from the components, so editing them
+        # edits the predictor
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((8, 4, 3))
+        y = rng.standard_normal((8, 3, 2))
+        model = fit_hopls(x, y, FitConfig(2, (2, 2), (2, 2)))
+        zeroed = replace(
+            model,
+            components=tuple(replace(c, y_core=np.zeros_like(c.y_core)) for c in model.components),
+        )
+        pred = predict_hopls(zeroed, x)
+        assert (pred == np.broadcast_to(model.y_mean, pred.shape)).all()
+
     def test_single_sample_shape(self, exact_block_fit):
         data, model = exact_block_fit
         pred = predict_hopls(model, data.x_val[:1])
@@ -403,8 +417,7 @@ class TestFitHopls2:
         x = 2.0 * rank_one_block(1.0, [t, p2, p3])
         y = (3.0 * t)[:, None]
         model = fit_hopls2(x, y, FitConfig(1, (1, 1), center=False))
-        comp = model.components[0]
-        recon = comp.d * np.outer(comp.t, comp.q)
+        recon = model.components[0].y_block()
         assert fro_norm(recon - y) <= 1e-8 * fro_norm(y)
 
     def test_single_response_q_is_sign(self):
@@ -413,7 +426,7 @@ class TestFitHopls2:
         y = rng.standard_normal((8, 1))
         model = fit_hopls2(x, y, FitConfig(2, (2, 2)))
         for comp in model.components:
-            assert abs(comp.q[0]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(comp.y_loadings[0][0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_response_training_fit(self):
         # X (5,5,5,5) ~ N(0,1), Y = X_(0) W: the fitted decomposition
@@ -431,7 +444,7 @@ class TestFitHopls2:
         assert model.n_components == 3
         for comp in model.components:
             assert np.linalg.norm(comp.t) == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.norm(comp.q) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(comp.y_loadings[0]) == pytest.approx(1.0, abs=1e-10)
         assert (np.diff(model.x_residual_norms) <= 1e-12).all()
         assert (np.diff(model.y_residual_norms) <= 1e-12).all()
 
@@ -452,7 +465,7 @@ class TestPredictHopls2:
         model = fit_hopls2(x, y, FitConfig(2, (2, 2)))
         zeroed = replace(
             model,
-            components=tuple(replace(c, d=0.0) for c in model.components),
+            components=tuple(replace(c, y_core=np.zeros((1, 1))) for c in model.components),
         )
         pred = predict_hopls2(zeroed, x)
         np.testing.assert_allclose(pred, np.broadcast_to(model.y_mean, pred.shape))
@@ -461,11 +474,12 @@ class TestPredictHopls2:
         x, *_ , model = hopls2_block_fit
         pred = predict_hopls2(model, x, n_components=1)
         comp = model.components[0]
+        q, d = comp.y_loadings[0][:, 0], comp.y_core[0, 0]
         scores = matricize(x, 0) @ model.score_operator[:, 0]
         by_hand = np.zeros_like(pred)
         for i in range(x.shape[0]):
-            for j in range(len(comp.q)):
-                by_hand[i, j] = comp.d * scores[i] * comp.q[j]
+            for j in range(len(q)):
+                by_hand[i, j] = d * scores[i] * q[j]
         np.testing.assert_allclose(pred, by_hand, atol=1e-12)
 
 
