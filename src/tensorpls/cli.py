@@ -5,8 +5,8 @@ Subcommands: ``synth`` (benchmark data generation), ``fit``, ``predict``,
 ``bench`` (the full repeated selection/evaluation protocol).
 
 Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 shape or
-numerical error. All diagnostic output is ``key=value`` lines on stdout;
-errors go to stderr.
+numerical error or a failed allocation. All diagnostic output is
+``key=value`` lines on stdout; errors go to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .evaluate import (
     benchmark_case,
     corr_per_column,
     generate,
-    grid_candidates,
     kfold_cv,
     q_squared,
     q_squared_per_column,
@@ -240,10 +239,9 @@ def _cmd_eval(args) -> int:
 def _cmd_cv(args) -> int:
     x = read_tensor(args.x)
     y = read_tensor(args.y)
-    candidates = grid_candidates(
-        x.shape, y.shape, args.r_max, args.lambda_max, args.algo, center=not args.no_center
+    report = kfold_cv(
+        x, y, args.folds, args.algo, args.r_max, args.lambda_max, center=not args.no_center
     )
-    report = kfold_cv(x, y, args.folds, candidates, args.algo)
     rows = []
     for (r, lam) in sorted(report.grid):
         q2 = report.grid[(r, lam)]
@@ -425,6 +423,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ and the noise draw is scaled to hit the requested level exactly.
 independent seeded streams, so two specs differing only in ``noise_seed``
 share bit-identical clean parts.
 
-Cross-validation uses deterministic contiguous folds along mode 0 and the
-grid-scan pruning where, for each R, the lambda scan stops after the first
-drop in mean validation Q².
+Cross-validation scans its own (R, lambda) grid on deterministic contiguous
+folds along mode 0: lambda ascends, one config is fitted per fold and step,
+and each R stops after the first drop in its mean validation Q².
 """
 
 from __future__ import annotations
@@ -362,23 +362,27 @@ class CvReport:
         return self.grid[self.best]
 
 
+def _lam_top(entry, x_shape: Sequence[int], y_shape: Sequence[int], lambda_max: int) -> int:
+    """Largest lambda of the grid: ``lambda_max``, capped to the valid loading range."""
+    return min(lambda_max, entry.lam_cap(x_shape, y_shape))
+
+
 def grid_candidates(
     x_shape: Sequence[int],
     y_shape: Sequence[int],
     r_max: int,
     lambda_max: int,
     algo: str,
-    center: bool = True,
 ) -> list[FitConfig]:
-    """(R, lambda) grid for an algorithm, capped to the valid loading range.
+    """Every (R, lambda) cell :func:`kfold_cv` may scan, as configs.
 
     ``npls`` and ``pls`` carry lambda = 1 only (rank-one blocks / no lambda);
     on a matrix response ``hopls`` and ``npls`` get the ``hopls2`` grid.
     """
     entry = algorithm(algo, len(y_shape))
-    lam_top = min(lambda_max, entry.lam_cap(x_shape, y_shape))
+    lam_top = _lam_top(entry, x_shape, y_shape, lambda_max)
     return [
-        entry.config(r, lam, len(x_shape), len(y_shape), center=center)
+        entry.config(r, lam, len(x_shape), len(y_shape))
         for r in range(1, r_max + 1)
         for lam in range(1, lam_top + 1)
     ]
@@ -402,20 +406,24 @@ def kfold_cv(
     x,
     y,
     folds: int,
-    candidates: Sequence[FitConfig],
     algo: str,
+    r_max: int,
+    lambda_max: int,
+    center: bool = True,
     hooi_settings: HooiSettings = HooiSettings(),
 ) -> CvReport:
-    """Contiguous k-fold grid search with the per-R lambda pruning.
+    """Contiguous k-fold search of the (R, lambda) grid with per-R pruning.
 
-    Candidates are grouped into (R, lambda) cells (lambda = the uniform
-    loading count of the config). For each R, lambda values are scanned in
-    ascending order and the scan stops after the first decrease of the mean
-    validation Q²; pruned cells are absent from the grid. Best cell is the
-    max mean Q², ties resolved to the smallest R then smallest lambda.
+    The grid is that of :func:`grid_candidates`: R = 1 .. ``r_max`` and
+    lambda = 1 .. ``lambda_max`` (capped to the valid loading range; 1 for
+    ``npls`` and ``pls``). Lambda is scanned upwards, and each R drops out
+    after the first decrease of its mean validation Q²; pruned cells are
+    absent from the grid, and every R is scored at lambda = 1. The best
+    cell is the max mean Q², ties resolved to the smallest R then the
+    smallest lambda.
 
-    Components are extracted sequentially, so one fit at the largest pending
-    R per (fold, lambda) yields every smaller-R model exactly; prefix r is
+    Components are extracted sequentially, so per lambda one fit per fold at
+    the largest pending R yields every smaller-R model exactly; prefix r is
     scored as ``q_squared`` of the model's own prediction from its leading r
     components. ``algo`` names an entry of the algorithm table; on a matrix
     response the tensor methods run their matrix-response variant.
@@ -423,49 +431,33 @@ def kfold_cv(
     x = astensor(x)
     y = astensor(y)
     entry = algorithm(algo, y.ndim)
+    lam_top = _lam_top(entry, x.shape, y.shape, lambda_max)
     if folds < 2:
         raise DegenerateDataError("folds must be >= 2")
     if x.shape[0] < folds:
         raise DegenerateDataError(
             f"need at least {folds} samples for {folds}-fold CV, got {x.shape[0]}"
         )
-    if not candidates:
-        raise ValueError("no candidates given")
+    if r_max < 1 or lambda_max < 1:
+        raise ValueError(f"the grid needs r_max and lambda_max >= 1, got {r_max}, {lambda_max}")
 
-    cells: dict[int, list[tuple[int, FitConfig]]] = {}
-    for cfg in candidates:
-        lam = cfg.lam
-        cells.setdefault(lam, []).append((cfg.n_components, cfg))
-    lam_order = sorted(cells)
-    for lam in lam_order:
-        cells[lam].sort(key=lambda pair: pair[0])
-
-    slices = _fold_slices(x.shape[0], folds)
-    split_cache = [(_split(x, sl), _split(y, sl)) for sl in slices]
-
-    last_mean: dict[int, float] = {}
-    stopped: set[int] = set()
+    splits = [(_split(x, sl), _split(y, sl)) for sl in _fold_slices(x.shape[0], folds)]
     grid: dict[tuple[int, int], float] = {}
     per_fold: dict[tuple[int, int], tuple[float, ...]] = {}
-
-    for lam in lam_order:
-        pending = [(r, cfg) for r, cfg in cells[lam] if r not in stopped]
+    pending = list(range(1, r_max + 1))
+    for lam in range(1, lam_top + 1):
+        cfg = entry.config(pending[-1], lam, x.ndim, y.ndim, center=center)
+        scores: dict[int, list[float]] = {r: [] for r in pending}
+        for (train_x, test_x), (train_y, test_y) in splits:
+            model = entry.fit(train_x, train_y, cfg, hooi_settings)
+            for r in pending:
+                scores[r].append(q_squared(test_y, entry.predict(model, test_x, r)))
+        for r in pending:
+            grid[(r, lam)] = float(np.mean(scores[r]))
+            per_fold[(r, lam)] = tuple(scores[r])
+        pending = [r for r in pending if not grid[(r, lam)] < grid.get((r, lam - 1), -math.inf)]
         if not pending:
-            continue
-        rs = [r for r, _ in pending]
-        max_cfg = replace(pending[-1][1], n_components=max(rs))
-        fold_scores: dict[int, list[float]] = {r: [] for r in rs}
-        for (train_x, test_x), (train_y, test_y) in split_cache:
-            model = entry.fit(train_x, train_y, max_cfg, hooi_settings)
-            for r in rs:
-                fold_scores[r].append(q_squared(test_y, entry.predict(model, test_x, r)))
-        for r in rs:
-            mean = float(np.mean(fold_scores[r]))
-            grid[(r, lam)] = mean
-            per_fold[(r, lam)] = tuple(fold_scores[r])
-            if r in last_mean and mean < last_mean[r]:
-                stopped.add(r)
-            last_mean[r] = mean
+            break
 
     return CvReport(
         algo=algo, folds=folds, grid=grid, per_fold=per_fold, best=_best_cell(grid)
@@ -485,31 +477,6 @@ class BenchmarkResult:
     methods: tuple[str, ...]
     q2: dict[str, tuple[float, ...]]
     selected: dict[str, tuple[tuple[int, int], ...]]
-
-
-def _read_off(earlier, cands: Sequence[FitConfig], method: str) -> CvReport | None:
-    """The CV report of ``cands``, read off an earlier run of the same fit.
-
-    ``earlier`` is (candidates, report) of a :func:`kfold_cv` run on the same
-    data with the same fit function. When ``cands`` span one lambda (so no
-    pruning of their own applies) and each of them was scored there, every
-    cell is the prefix Q² of the same fits on the same folds: N-PLS is the
-    HOPLS lambda = 1 column. Returns None when that does not hold.
-    """
-    if earlier is None or len({cfg.lam for cfg in cands}) != 1:
-        return None
-    earlier_cands, report = earlier
-    cells = {(cfg.n_components, cfg.lam) for cfg in cands}
-    if not set(cands) <= set(earlier_cands) or not cells <= report.grid.keys():
-        return None
-    grid = {cell: q2 for cell, q2 in report.grid.items() if cell in cells}
-    return CvReport(
-        algo=method,
-        folds=report.folds,
-        grid=grid,
-        per_fold={cell: report.per_fold[cell] for cell in grid},
-        best=_best_cell(grid),
-    )
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -534,7 +501,9 @@ def benchmark_case(
 
     Method names are ``hopls``, ``npls``, ``pls``; for a matrix response
     (``matrix-response`` kind) the tensor methods dispatch to their
-    two-way-response variants.
+    two-way-response variants. A method pinned to lambda = 1 whose fit
+    function has already been scanned on this repeat (N-PLS after HOPLS)
+    takes that scan's lambda = 1 column: the same fits on the same folds.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -544,18 +513,23 @@ def benchmark_case(
     selected: dict[str, list[tuple[int, int]]] = {m: [] for m in methods}
     for i in range(repeats):
         data = generate(replace(spec, seed=_derive_seed(spec.seed, i)))
-        runs: dict[str, tuple] = {}  # first CV run per fit function
+        scans: dict[str, CvReport] = {}  # first CV scan per fit function
         for method in methods:
             algo = algorithm(method, data.y.ndim)
-            cands = grid_candidates(data.x.shape, data.y.shape, r_max, lambda_max, method)
-            report = _read_off(runs.get(algo.fit_name), cands, method)
-            if report is None:
-                report = kfold_cv(data.x, data.y, folds, cands, method, hooi_settings)
-                runs.setdefault(algo.fit_name, (cands, report))
-            cfg = algo.config(*report.best, data.x.ndim, data.y.ndim)
+            scan = scans.get(algo.fit_name)
+            if algo.fixed_lam == 1 and scan is not None:
+                # pruning starts at lambda = 2, so this column holds every R
+                best = _best_cell({cell: q for cell, q in scan.grid.items() if cell[1] == 1})
+            else:
+                report = kfold_cv(
+                    data.x, data.y, folds, method, r_max, lambda_max, hooi_settings=hooi_settings
+                )
+                scans.setdefault(algo.fit_name, report)
+                best = report.best
+            cfg = algo.config(*best, data.x.ndim, data.y.ndim)
             model = algo.fit(data.x, data.y, cfg, hooi_settings)
             q2[method].append(q_squared(data.y_val, algo.predict(model, data.x_val)))
-            selected[method].append(report.best)
+            selected[method].append(best)
     return BenchmarkResult(
         spec=spec,
         repeats=repeats,

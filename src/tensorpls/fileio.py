@@ -133,7 +133,7 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 def _decode_array(obj: dict) -> np.ndarray:
     try:
-        shape = tuple(int(d) for d in obj["shape"])
+        shape = _decode(obj["shape"], tuple[int, ...])
         buf = base64.b64decode(obj["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed array record: {exc}") from exc
@@ -158,8 +158,18 @@ def _encode(value):
     return value
 
 
+# The JSON values each scalar annotation takes. A JSON true/false decodes as
+# a Python bool, which is also an int: only a bool field takes one.
+_SCALARS = {bool: bool, int: int, float: (int, float), str: str}
+
+
 def _decode(obj, hint):
-    """Inverse of :func:`_encode`, steered by the type annotation ``hint``."""
+    """Inverse of :func:`_encode`, steered by the type annotation ``hint``.
+
+    A value whose JSON type the annotation does not take raises
+    FileFormatError: a tuple is a list, an int an integer, a float any
+    number, a bool only true or false.
+    """
     if hint is np.ndarray:
         return _decode_array(obj)
     if dataclasses.is_dataclass(hint):
@@ -170,9 +180,13 @@ def _decode(obj, hint):
         return hint(**{name: _decode(obj[name], hints[name]) for name in names})
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
+        if not isinstance(obj, list):
+            raise FileFormatError(f"expected a list, got {type(obj).__name__}")
         return tuple(_decode(v, args[0]) for v in obj)
     if type(None) in args:  # ``T | None``
         return None if obj is None else _decode(obj, args[0])
+    if isinstance(obj, bool) != (hint is bool) or not isinstance(obj, _SCALARS[hint]):
+        raise FileFormatError(f"expected a JSON {hint.__name__}, got {type(obj).__name__}")
     return hint(obj)
 
 
@@ -283,8 +297,7 @@ def load_model(path):
         _check_consistent(model)
     except FileFormatError:
         raise
-    # IndexError: an array with too few axes (a 1-D PLS weight matrix, say);
-    # OverflowError: an integer field holding a float too large for JSON (inf)
+    # IndexError: an array with too few axes (a 1-D PLS weight matrix, say)
     except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc
     return model

@@ -27,7 +27,6 @@ from tensorpls import (
     fit_pls_nipals,
     fro_norm,
     generate,
-    grid_candidates,
     hooi,
     hosvd,
     kfold_cv,
@@ -262,8 +261,7 @@ def test_criterion_7_lambda_trend():
         for snr in (10.0, -5.0):
             spec = SynthSpec.from_case("2t", snr, seed=1000 + seed)
             data = generate(spec)
-            cands = grid_candidates(data.x.shape, data.y.shape, 10, 10, "hopls")
-            report = kfold_cv(data.x, data.y, 5, cands, "hopls", BENCH_HOOI)
+            report = kfold_cv(data.x, data.y, 5, "hopls", 10, 10, hooi_settings=BENCH_HOOI)
             lams[snr] = report.best[1]
         pairs.append((lams[10.0], lams[-5.0]))
         wins += lams[10.0] >= lams[-5.0]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensorpls import read_tensor, write_tensor
+from tensorpls import kfold_cv, read_tensor, write_tensor
 from tensorpls.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 
@@ -347,6 +347,26 @@ class TestFitVariants:
 
 
 class TestCvVariants:
+    def test_no_center_reaches_the_fits(self, tmp_path, capsys):
+        data_dir = tmp_path / "2t"
+        run(["synth", "--case", "2t", "--snr", "5", "--seed", "9", "--out-dir", str(data_dir)])
+        argv = ["cv", "--algo", "hopls", "--x", str(data_dir / "X.ten"),
+                "--y", str(data_dir / "Y.ten"), "--r-max", "3", "--lambda-max", "3"]
+        grids = {}
+        for flag in ((), ("--no-center",)):
+            out = tmp_path / f"cv{len(flag)}.json"
+            assert run(argv + [*flag, "--out", str(out)]) == EXIT_OK
+            rows = json.loads(out.read_bytes())["grid"]
+            grids[flag] = {(row["r"], row["lambda"]): row["q2"] for row in rows}
+        capsys.readouterr()
+        uncentred = grids[("--no-center",)]
+        assert uncentred != grids[()]
+        report = kfold_cv(
+            read_tensor(data_dir / "X.ten"), read_tensor(data_dir / "Y.ten"), 5, "hopls", 3, 3,
+            center=False,
+        )
+        assert uncentred == report.grid
+
     def test_npls_cv_on_matrix_response(self, tmp_path, capsys):
         data_dir = tmp_path / "mr"
         run(["synth", "--case", "mr", "--snr", "inf", "--seed", "4", "--out-dir", str(data_dir)])
@@ -430,6 +450,17 @@ class TestExitCodes:
                  "vec": vec, "zero": zero, "tmp": tmp_path}
         assert run(argv.format(**paths).split()) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_failed_allocation_exits_4(self, tmp_path, capsys, monkeypatch):
+        def generate(spec):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr("tensorpls.cli.generate", generate)
+        argv = ["synth", "--case", "2t", "--seed", "0", "--out-dir", str(tmp_path / "e")]
+        assert run(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -171,18 +171,35 @@ class TestGenerators:
 
 class TestKfoldCv:
     def test_single_candidate(self):
+        # a one-cell grid
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
-        cands = [FitConfig.uniform(2, 2, 3, 3)]
-        report = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
-        assert report.best == (2, 2)
-        assert set(report.grid) == {(2, 2)}
-        assert len(report.per_fold[(2, 2)]) == 5
+        report = kfold_cv(data.x, data.y, 5, "hopls", 1, 1, hooi_settings=FAST)
+        assert report.best == (1, 1)
+        assert set(report.grid) == {(1, 1)}
+        assert len(report.per_fold[(1, 1)]) == 5
+
+    @pytest.mark.parametrize("r_max, lambda_max", [(0, 3), (3, 0), (-1, -1)])
+    def test_empty_grid_is_rejected(self, r_max, lambda_max):
+        data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
+        with pytest.raises(ValueError, match="r_max and lambda_max"):
+            kfold_cv(data.x, data.y, 5, "hopls", r_max, lambda_max)
+
+    @pytest.mark.parametrize("case, name", [
+        ("2t", "hopls"), ("2t", "npls"), ("2t", "pls"), ("mr", "hopls"), ("mr", "npls"),
+    ])  # fmt: skip
+    def test_scanned_cells_lie_in_the_grid(self, case, name):
+        # the benchmark's output check and N-PLS's read-off of the HOPLS
+        # lambda = 1 column both rely on these two facts
+        data = generate(SynthSpec.from_case(case, 0.0, seed=5))
+        report = kfold_cv(data.x, data.y, 5, name, 4, 6, hooi_settings=FAST)
+        cands = grid_candidates(data.x.shape, data.y.shape, 4, 6, name)
+        assert set(report.grid) <= {(c.n_components, c.lam) for c in cands}
+        assert {(r, 1) for r in range(1, 5)} <= set(report.grid)
 
     def test_deterministic(self):
         data = generate(SynthSpec.from_case("2m", 5.0, seed=2))
-        cands = grid_candidates(data.x.shape, data.y.shape, 3, 3, "hopls")
-        a = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
-        b = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
+        a = kfold_cv(data.x, data.y, 5, "hopls", 3, 3, hooi_settings=FAST)
+        b = kfold_cv(data.x, data.y, 5, "hopls", 3, 3, hooi_settings=FAST)
         assert a.grid == b.grid and a.best == b.best and a.per_fold == b.per_fold
 
     def test_fold_partition_covers_everything_once(self):
@@ -200,8 +217,7 @@ class TestKfoldCv:
         case = "mr" if name == "hopls2" else "2m"
         data = generate(SynthSpec.from_case(case, 5.0, seed=4))
         algo = algorithm(name, data.y.ndim)
-        cands = grid_candidates(data.x.shape, data.y.shape, 4, 3, name)
-        report = kfold_cv(data.x, data.y, 5, cands, name, FAST)
+        report = kfold_cv(data.x, data.y, 5, name, 4, 3, hooi_settings=FAST)
         for lam in {lam for _, lam in report.grid}:
             rs = [r for r, l in report.grid if l == lam]
             cfg = algo.config(max(rs), lam, data.x.ndim, data.y.ndim)
@@ -215,18 +231,16 @@ class TestKfoldCv:
     def test_too_few_samples(self):
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
         with pytest.raises(DegenerateDataError):
-            kfold_cv(data.x[:3], data.y[:3], 5, [FitConfig.uniform(1, 1, 3, 3)], "hopls")
+            kfold_cv(data.x[:3], data.y[:3], 5, "hopls", 1, 1)
 
     def test_noiseless_best_is_good(self):
         data = generate(SynthSpec.from_case("2t", math.inf, seed=7))
-        cands = grid_candidates(data.x.shape, data.y.shape, 8, 10, "hopls")
-        report = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
+        report = kfold_cv(data.x, data.y, 5, "hopls", 8, 10, hooi_settings=FAST)
         assert report.best_q2 >= 0.99
 
     def test_lambda_pruning_leaves_prefixes(self):
         data = generate(SynthSpec.from_case("2t", 0.0, seed=11))
-        cands = grid_candidates(data.x.shape, data.y.shape, 4, 6, "hopls")
-        report = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
+        report = kfold_cv(data.x, data.y, 5, "hopls", 4, 6, hooi_settings=FAST)
         for r in range(1, 5):
             lams = sorted(lam for (rr, lam) in report.grid if rr == r)
             assert lams == list(range(1, len(lams) + 1))
@@ -237,8 +251,7 @@ class TestKfoldCv:
     def test_pls_and_npls_grids_are_lambda_one(self):
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
         for algo in ("pls", "npls"):
-            cands = grid_candidates(data.x.shape, data.y.shape, 3, 10, algo)
-            report = kfold_cv(data.x, data.y, 5, cands, algo, FAST)
+            report = kfold_cv(data.x, data.y, 5, algo, 3, 10, hooi_settings=FAST)
             assert all(lam == 1 for (_, lam) in report.grid)
 
     def test_lambda_shrinks_with_noise(self):
@@ -247,8 +260,7 @@ class TestKfoldCv:
         for seed in range(4):
             for snr in (10.0, -5.0):
                 data = generate(SynthSpec.from_case("2m", snr, seed=3000 + seed))
-                cands = grid_candidates(data.x.shape, data.y.shape, 10, 10, "hopls")
-                report = kfold_cv(data.x, data.y, 5, cands, "hopls", FAST)
+                report = kfold_cv(data.x, data.y, 5, "hopls", 10, 10, hooi_settings=FAST)
                 selected[snr].append(report.best[1])
         assert np.median(selected[10.0]) > np.median(selected[-5.0])
 

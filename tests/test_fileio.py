@@ -277,9 +277,21 @@ class TestModelConsistency:
             ("hopls", lambda d: d.update(algo="hopls2")),
             ("hopls2", lambda d: d.update(algo="hopls")),
             ("pls", lambda d: d.update(algo="hopls")),
+            # each value must have the JSON type of its field
+            ("hopls", lambda d: d["config"].update(center=[])),
+            ("hopls", lambda d: d["config"].update(center=0)),
+            ("hopls", lambda d: d["config"].update(center="yes")),
+            ("hopls", lambda d: d.update(x_shape=[6.7, 5])),
+            ("hopls", lambda d: d.update(x_shape="")),
+            ("hopls", lambda d: d["config"].update(epsilon="1e-3")),
+            ("hopls", lambda d: d["config"].update(n_components=True)),
+            ("hopls", lambda d: d["components"][0]["x_core"].update(shape=[1.0, 2, 2])),
+            ("pls", lambda d: d.update(y_residual_norms=[True] * 3)),
         ],
         ids=["version-2", "extra-key", "extra-config-key", "extra-component-key",
-             "hopls2-tag-on-tensor-response", "hopls-tag-on-matrix-response", "pls-as-hopls"],
+             "hopls2-tag-on-tensor-response", "hopls-tag-on-matrix-response", "pls-as-hopls",
+             "center-list", "center-0", "center-string", "x_shape-float", "x_shape-string",
+             "epsilon-string", "n_components-true", "array-shape-float", "norms-true"],
     )  # fmt: skip
     def test_schema_violation_exits_3(self, tmp_path, block_data, models, name, edit):
         path, x_path = tmp_path / "m.json", tmp_path / "x.ten"
@@ -384,7 +396,20 @@ def document_paths(node, path=()):
 
 # Small JSON values: none of them can make the loader allocate much.
 # 1e400 parses as inf, which no integer field can hold.
-SMALL_JSON_VALUES = ("1e400", "-1", "0", '""', "null", "[]", "{}")
+SMALL_JSON_VALUES = ("1e400", "-1", "0", "0.5", "true", '""', "null", "[]", "{}")
+
+
+def same_json(a, b) -> bool:
+    """Equal JSON values, with true and false distinct from the numbers 1 and 0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            same_json(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
 
 
 @pytest.mark.parametrize("name", ["hopls", "hopls2", "pls"])
@@ -414,3 +439,14 @@ def test_one_field_set_to_a_small_value_gives_an_exit_code(
         "predict", "--model", str(path), "--x", str(x_path), "--out", str(base / "p.ten"),
     ])
     assert code in (0, EXIT_PARSE, EXIT_NUMERIC)
+    # a document that loads is the one its model encodes to
+    try:
+        model = load_model(path)
+    except FileFormatError:
+        return
+    again = base / f"field-{name}-again.json"
+    save_model(again, model)
+    encoded = json.loads(again.read_bytes())
+    for d in (doc, encoded):
+        d.pop("checksum")
+    assert same_json(encoded, doc), (where, text)
