@@ -23,7 +23,7 @@ engine for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -325,17 +325,17 @@ def hooi(
     """
     a, b = _pair(a, b)
     ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
-    init = hosvd(a, ranks, b)
-    objective = fro_norm(init.core) ** 2
-    if ranks == a.shape[1:] + b.shape[1:]:
-        # full multilinear rank: any orthonormal full factors are exact, so
-        # the initialization is already optimal and no sweep can improve it
-        return replace(init, objective_history=(objective,))
-    factors = list(init.factors)
+    factors = _hosvd_factors(a, b, ranks)
     n_a = a.ndim - 1
     # each side projected on all of its factors, replaced as soon as a side's
     # factors change: a stale projection still converges, to a wrong point
     projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
+    core = _contract(*projected)
+    objective = fro_norm(core) ** 2
+    if ranks == a.shape[1:] + b.shape[1:]:
+        # full multilinear rank: any orthonormal full factors are exact, so
+        # the initialization is already optimal and no sweep can improve it
+        return TuckerFactors(core=core, factors=tuple(factors), objective_history=(objective,))
     history = [objective]
     converged = False
     for _ in range(settings.max_iters):

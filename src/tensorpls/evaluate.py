@@ -489,7 +489,6 @@ def benchmark_case(
     folds: int = 5,
     r_max: int = 10,
     lambda_max: int = 10,
-    methods: Sequence[str] | None = None,
     hooi_settings: HooiSettings = HooiSettings(),
 ) -> BenchmarkResult:
     """Full selection-and-evaluation protocol over repeated datasets.
@@ -499,33 +498,27 @@ def benchmark_case(
     the calibration data for each method, refit on the whole calibration
     set, and score Q² against the observed (noisy) validation response.
 
-    Method names are ``hopls``, ``npls``, ``pls``; for a matrix response
-    (``matrix-response`` kind) the tensor methods dispatch to their
-    two-way-response variants. A method pinned to lambda = 1 whose fit
-    function has already been scanned on this repeat (N-PLS after HOPLS)
-    takes that scan's lambda = 1 column: the same fits on the same folds.
+    The methods are ``hopls``, ``npls`` and ``pls``, in that order; for a
+    matrix response (``matrix-response`` kind) the tensor methods dispatch
+    to their two-way-response variants. N-PLS is HOPLS at lambda = 1, so it
+    takes the HOPLS scan's lambda = 1 column: the same fits on the same
+    folds.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if methods is None:
-        methods = ("hopls", "npls", "pls")
+    methods = ("hopls", "npls", "pls")
     q2: dict[str, list[float]] = {m: [] for m in methods}
     selected: dict[str, list[tuple[int, int]]] = {m: [] for m in methods}
     for i in range(repeats):
         data = generate(replace(spec, seed=_derive_seed(spec.seed, i)))
-        scans: dict[str, CvReport] = {}  # first CV scan per fit function
-        for method in methods:
+        hopls, pls = (
+            kfold_cv(data.x, data.y, folds, m, r_max, lambda_max, hooi_settings=hooi_settings)
+            for m in ("hopls", "pls")
+        )
+        # pruning starts at lambda = 2, so the lambda = 1 column holds every R
+        npls = _best_cell({cell: q for cell, q in hopls.grid.items() if cell[1] == 1})
+        for method, best in zip(methods, (hopls.best, npls, pls.best)):
             algo = algorithm(method, data.y.ndim)
-            scan = scans.get(algo.fit_name)
-            if algo.fixed_lam == 1 and scan is not None:
-                # pruning starts at lambda = 2, so this column holds every R
-                best = _best_cell({cell: q for cell, q in scan.grid.items() if cell[1] == 1})
-            else:
-                report = kfold_cv(
-                    data.x, data.y, folds, method, r_max, lambda_max, hooi_settings=hooi_settings
-                )
-                scans.setdefault(algo.fit_name, report)
-                best = report.best
             cfg = algo.config(*best, data.x.ndim, data.y.ndim)
             model = algo.fit(data.x, data.y, cfg, hooi_settings)
             q2[method].append(q_squared(data.y_val, algo.predict(model, data.x_val)))
@@ -533,7 +526,7 @@ def benchmark_case(
     return BenchmarkResult(
         spec=spec,
         repeats=repeats,
-        methods=tuple(methods),
+        methods=methods,
         q2={m: tuple(v) for m, v in q2.items()},
         selected={m: tuple(v) for m, v in selected.items()},
     )

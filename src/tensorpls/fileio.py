@@ -14,7 +14,7 @@ bit-exactly. A sha256 checksum over the canonical serialization (sorted
 keys, no whitespace, checksum field excluded) guards integrity. The same
 model always serializes to the same bytes.
 
-Every model type shares one schema (version 3): ``format``, ``version``,
+Every model type shares one schema (version 4): ``format``, ``version``,
 the ``algo`` tag, ``checksum``, and one key per field of the model's
 dataclass (nested dataclasses become objects, tuples become lists, arrays
 become ``{"shape", "data"}`` records). A file holds the model's parameters
@@ -53,7 +53,7 @@ __all__ = [
 
 TENSOR_MAGIC = "TEN1"
 MODEL_FORMAT = "tensorpls-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

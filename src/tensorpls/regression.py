@@ -31,12 +31,11 @@ default and is undone at prediction time. Residual norms never increase.
 
 Every model is a linear predictor with two operators: a score operator W
 (X features x R) and a response operator (Y features x R), their rows in
-the mode-0 unfolding's feature order. A model stores only its parameters
-and derives both operators from them, once per model. Prediction is
-``fold((X - x_mean)_(0) W  response_operator^T) + y_mean`` for all of them;
-:func:`_predict` computes it on the batch's row-major layout instead, with
-both operators' rows permuted to C order, so it matches the unfolded
-formula to rounding and copies no batch.
+the row-major (C-order) feature order of ``X.reshape(n, -1)``. A model
+stores only its parameters and derives both operators from them, once per
+model. Prediction is ``((X - x_mean).reshape(n, -1) W
+response_operator^T).reshape((n,) + y_shape) + y_mean`` for all of them,
+on the batch as it lies in memory.
 :data:`ALGORITHMS` is the one table that maps a method name to its fit
 call, its configuration, its lambda range and its model-file tag.
 """
@@ -202,9 +201,12 @@ class HoplsComponent:
 class HoplsModel(FittedModel):
     """Fitted sum of Tucker blocks: HOPLS, N-PLS and, on a matrix response, HOPLS2.
 
-    The score operator is the paper's W = (P_N (x) ... (x) P_2) G^+ and the
-    response operator (Q_M (x) ... (x) Q_2) D^T, one column per component;
-    for a matrix response the column is ``q_r [[d_r]]``, that is ``d_r q_r``.
+    The score operator is W = (P_2 (x) ... (x) P_N) vec(G)^+ and the
+    response operator (Q_2 (x) ... (x) Q_M) vec(D), one column per
+    component, the cores vectorised row-major: the paper's
+    (P_N (x) ... (x) P_2) G^+ with its rows in the order of
+    ``X.reshape(n, -1)``. For a matrix response the column is
+    ``q_r [[d_r]]``, that is ``d_r q_r``.
     """
 
     config: FitConfig
@@ -217,15 +219,14 @@ class HoplsModel(FittedModel):
     @cached_property
     def score_operator(self) -> np.ndarray:
         return _columns(
-            [kron_all(c.x_loadings[::-1]) @ _row_pinv(matricize(c.x_core, 0))
-             for c in self.components],
+            [kron_all(c.x_loadings) @ _row_pinv(c.x_core) for c in self.components],
             math.prod(self.x_shape),
-        )  # fmt: skip
+        )
 
     @cached_property
     def response_operator(self) -> np.ndarray:
         return _columns(
-            [kron_all(c.y_loadings[::-1]) @ matricize(c.y_core, 0).T for c in self.components],
+            [kron_all(c.y_loadings) @ c.y_core.reshape(1, -1).T for c in self.components],
             math.prod(self.y_shape),
         )
 
@@ -235,7 +236,7 @@ class PlsModel(FittedModel):
     """Two-way NIPALS model: X ~ T P^T, Y ~ T D Q^T.
 
     ``x_shape`` and ``y_shape`` are the trailing shapes of the data it was
-    fitted on; the weights and loadings index their mode-0 unfoldings.
+    fitted on; the weights and loadings index their row-major feature axes.
     """
 
     x_weights: np.ndarray
@@ -281,7 +282,8 @@ def _columns(vectors, rows: int) -> np.ndarray:
 
 
 def _row_pinv(row: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a 1 x K row vector (K x 1 result).
+    """Moore-Penrose pseudoinverse of ``row`` read as a 1 x K row vector in
+    row-major order (K x 1 result).
 
     A row has a single singular value (its norm), so the usual
     rcond * s_max cutoff degenerates to the exact-zero check.
@@ -293,7 +295,7 @@ def _row_pinv(row: np.ndarray) -> np.ndarray:
     return row.T / s2
 
 
-def _deflate(x, y, n_components: int, epsilon, center: bool, step, unfold=False):
+def _deflate(x, y, n_components: int, epsilon, center: bool, step):
     """The sequential-deflation loop every estimator shares.
 
     Centres (or copies) X and Y, then calls ``step(e, f)`` on the running
@@ -302,8 +304,7 @@ def _deflate(x, y, n_components: int, epsilon, center: bool, step, unfold=False)
     :data:`STOP_REASONS`. Before each step the loop stops on an exactly zero
     residual (``'zero_cross_cov'``: no shared variance left) or on a residual
     norm at or under epsilon (``'epsilon'``; ``None`` means ``1e-8`` times
-    the initial norm, separately per side). ``unfold`` hands the step the
-    mode-0 unfoldings instead of the tensors.
+    the initial norm, separately per side).
 
     Returns the :class:`FittedModel` fields as a dict and the list of parts.
     """
@@ -315,8 +316,6 @@ def _deflate(x, y, n_components: int, epsilon, center: bool, step, unfold=False)
     else:
         e, f = x.copy(), y.copy()
         x_mean = y_mean = None
-    if unfold:
-        e, f = matricize(e, 0), matricize(f, 0)
     x_norms = [fro_norm(e)]
     y_norms = [fro_norm(f)]
     if epsilon is None:
@@ -479,7 +478,8 @@ def fit_hopls2(
 
 
 def _nipals_step(e: np.ndarray, f: np.ndarray):
-    """One NIPALS component of the unfolded residuals: (e, f, (w, p, q, d))."""
+    """One NIPALS component of the residuals' row-major views: (e, f, (w, p, q, d))."""
+    e, f = e.reshape(len(e), -1), f.reshape(len(f), -1)
     u = f[:, int(np.argmax((f * f).sum(axis=0)))]
     t = np.zeros(e.shape[0])
     for _ in range(NIPALS_MAX_ITER):
@@ -516,8 +516,9 @@ def fit_pls_nipals(
 ) -> PlsModel:
     """Two-way PLS via the classical alternating (NIPALS) iteration.
 
-    Tensors of order > 2 are regressed through their mode-0 unfoldings; the
-    model keeps their trailing shapes, so it predicts tensors again.
+    Tensors of order > 2 are regressed through their row-major views
+    ``x.reshape(n, -1)``; the model keeps their trailing shapes, so it
+    predicts tensors again.
 
     Per component the inner loop alternates ``w <- X^T u``, ``t <- X w``,
     ``q <- Y^T t``, ``u <- Y q`` (w, q normalized) until the latent vector
@@ -543,7 +544,7 @@ def fit_pls_nipals(
             f"n_components={n_components} out of range for X of shape {x.shape}"
         )
 
-    shared, parts = _deflate(x, y, n_components, epsilon, center, _nipals_step, unfold=True)
+    shared, parts = _deflate(x, y, n_components, epsilon, center, _nipals_step)
     ws, ps, qs, ds = zip(*parts) if parts else ((), (), (), ())
     return PlsModel(
         x_weights=_columns(ws, n_x_feat),
@@ -554,27 +555,14 @@ def fit_pls_nipals(
     )
 
 
-def _c_order_rows(operator: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``operator`` with its rows permuted from unfolding order to C order over ``shape``.
-
-    An operator's rows index the mode-0 unfolding's columns, where the first
-    mode of ``shape`` varies fastest: C order over the reversed shape.
-    """
-    d, r = len(shape), operator.shape[1]
-    by_mode = operator.reshape(shape[::-1] + (r,)).transpose(*range(d - 1, -1, -1), d)
-    # the row count is explicit: reshape(-1, 0) cannot infer it
-    return by_mode.reshape(math.prod(shape), r)
-
-
 def _predict(model, x_new, n_components: int | None) -> np.ndarray:
     """The one prediction path: score, subtract the mean's scores, respond, add the mean.
 
-    This is ``fold((X - x_mean)_(0) W Q^T) + y_mean`` computed without a
-    batch-sized temporary: the batch's row-major reshape is scored against
-    W's rows in C order, the centring moves onto the scores
-    (``x_mean W``), and the response comes out in C order, so the output is
-    the only array of batch size. The summation order differs from the
-    unfolded formula, so the two agree to rounding, not bit for bit.
+    This is ``(X - x_mean).reshape(n, -1) W Q^T + y_mean`` computed without
+    a batch-sized temporary: the batch's row-major view is scored against
+    the operators as stored, the centring moves onto the scores
+    (``x_mean W``), and the response comes out row-major, so the output is
+    the only array of batch size.
 
     ``n_components`` restricts to a leading subset: components are extracted
     sequentially, so the first r columns of both operators *are* the
@@ -587,8 +575,8 @@ def _predict(model, x_new, n_components: int | None) -> np.ndarray:
         )
     r = model.n_components if n_components is None else min(n_components, model.n_components)
     n = x_new.shape[0]
-    w = _c_order_rows(model.score_operator[:, :r], model.x_shape)
-    q = _c_order_rows(model.response_operator[:, :r], model.y_shape)
+    w = model.score_operator[:, :r]
+    q = model.response_operator[:, :r]
     scores = x_new.reshape(n, w.shape[0]) @ w
     if model.x_mean is not None:
         scores -= model.x_mean.reshape(-1) @ w
@@ -601,21 +589,21 @@ def _predict(model, x_new, n_components: int | None) -> np.ndarray:
 def predict_hopls(
     model: HoplsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
-    """Predict a tensor response: ``X_(0) W Q*^T`` plus the training mean."""
+    """Predict a tensor response: ``X.reshape(n, -1) W Q*^T`` plus the training mean."""
     return _predict(model, x_new, n_components)
 
 
 def predict_hopls2(
     model: HoplsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
-    """Predict a matrix response: ``X_(0) W D Q^T`` plus the training mean."""
+    """Predict a matrix response: ``X.reshape(n, -1) W D Q^T`` plus the training mean."""
     return _predict(model, x_new, n_components)
 
 
 def predict_pls(
     model: PlsModel, x_new, n_components: int | None = None
 ) -> np.ndarray:
-    """Predict with the two-way model: ``X_(0) R D Q^T`` plus the training mean."""
+    """Predict with the two-way model: ``X.reshape(n, -1) R D Q^T`` plus the training mean."""
     return _predict(model, x_new, n_components)
 
 

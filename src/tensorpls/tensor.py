@@ -14,10 +14,12 @@ tensor with entries 1..8 laid out row-major, ``matricize(t, 0)`` is::
      [2, 4, 6, 8]]
 
 This is the ordering under which ``matricize(tucker_assemble(g, [A1..AN]), 0)
-== A1 @ matricize(g, 0) @ kron_all([AN, ..., A2]).T`` and hence the one the
-operators of :mod:`tensorpls.regression` index their rows in. The predictor
-there does not unfold a batch: it permutes the operators' rows to the
-row-major feature order instead.
+== A1 @ matricize(g, 0) @ kron_all([AN, ..., A2]).T``. The row-major view
+``t.reshape(len(t), -1)`` orders the same columns with the last mode
+fastest, and there the Kronecker factors run forwards:
+``tucker_assemble(g, [A1..AN]).reshape(len(A1), -1) == A1 @
+g.reshape(len(g), -1) @ kron_all([A2, ..., AN]).T``. The operators of
+:mod:`tensorpls.regression` index their rows in that row-major order.
 """
 
 from __future__ import annotations

@@ -110,38 +110,56 @@ def rank_one_block(scale, vectors):
 def pls_predict_sequential(model, x, r):
     """Two-way PLS prediction by deflating the new data one component at a time.
 
-    Each score is read off the current residual, t_j = E_j w_j, which is then
-    deflated, E_{j+1} = E_j - t_j p_j^T; the response accumulates
-    d_j t_j q_j^T. Works on the model's raw weights and loadings only.
+    The centred data is read as its row-major view ``(n, -1)``. Each score
+    is read off the current residual, t_j = E_j w_j, which is then deflated,
+    E_{j+1} = E_j - t_j p_j^T; the response accumulates d_j t_j q_j^T and is
+    reshaped to the model's response shape. Works on the model's raw
+    weights and loadings only.
     """
     e = np.asarray(x, dtype=float)
+    n = e.shape[0]
     if model.x_mean is not None:
         e = e - model.x_mean
-    y = np.zeros((e.shape[0], model.y_loadings.shape[0]))
+    e = e.reshape(n, -1)
+    y = np.zeros((n, model.y_loadings.shape[0]))
     for j in range(r):
         t = e @ model.x_weights[:, j]
         e = e - np.outer(t, model.x_loadings[:, j])
         y += model.coefs[j] * np.outer(t, model.y_loadings[:, j])
+    y = y.reshape((n,) + tuple(model.y_shape))
     if model.y_mean is not None:
         y = y + model.y_mean
     return y
 
 
-def predict_unfolded(model, x, r):
-    """The linear predictor as written on the mode-0 unfolding.
+def predict_by_components(model, x, r):
+    """A model's first r components applied one at a time, in no feature order.
 
-    ``fold(matricize(x - x_mean, 0) @ W[:, :r] @ Q[:, :r].T, 0, shape) + y_mean``
-    with W and Q the model's score and response operators. For mode 0 the
-    unfolding is the Fortran-order reshape to ``(n, -1)`` (the first
-    remaining mode varies fastest) and the fold its inverse.
+    For a Tucker-block model, component j scores each centred sample as
+    <(X - x_mean) x_n P_n^T, G_j> / ||G_j||^2 (zero for a zero core) and adds
+    the block [[D_j; s_j, Q_1, ..., Q_M]] to the response, every product a
+    ``tensordot`` over named modes, so no vectorisation order enters. A PLS
+    model is :func:`pls_predict_sequential`.
     """
-    x = np.asarray(x, dtype=float)
+    if not hasattr(model, "components"):
+        return pls_predict_sequential(model, x, r)
+    e = np.asarray(x, dtype=float)
     if model.x_mean is not None:
-        x = x - model.x_mean
-    n = x.shape[0]
-    unfolded = np.reshape(x, (n, -1), order="F")
-    y = unfolded @ model.score_operator[:, :r] @ model.response_operator[:, :r].T
-    y = np.reshape(y, (n,) + tuple(model.y_shape), order="F")
+        e = e - model.x_mean
+    y = np.zeros((e.shape[0],) + tuple(model.y_shape))
+    for comp in model.components[:r]:
+        # contracting mode 1 moves the projected mode to the end, so after
+        # every loading the modes are back in their order
+        proj = e
+        for p in comp.x_loadings:
+            proj = np.tensordot(proj, p, axes=([1], [0]))
+        core = comp.x_core[0]
+        gg = float(np.vdot(core, core))
+        s = np.tensordot(proj, core, axes=core.ndim) / gg if gg else np.zeros(len(e))
+        block = np.tensordot(s[:, None], comp.y_core, axes=([1], [0]))
+        for q in comp.y_loadings:
+            block = np.tensordot(block, q, axes=([1], [1]))
+        y += block
     if model.y_mean is not None:
         y = y + model.y_mean
     return y

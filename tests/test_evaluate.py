@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tensorpls import (
     q_squared_per_column,
     rmsep,
 )
-from tensorpls.evaluate import _fold_slices, _split
+from tensorpls.evaluate import _derive_seed, _fold_slices, _split
 from tensorpls.regression import ALGORITHMS, algorithm
 
 FAST = HooiSettings(max_iters=15, rel_tol=1e-6)
@@ -290,17 +291,17 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("case", ["2t", "2m"])
     def test_npls_read_off_hopls_matches_own_cv(self, case):
-        # after HOPLS, N-PLS takes its grid from HOPLS's lambda = 1 column
+        # N-PLS takes its cell from HOPLS's lambda = 1 column: the cell and
+        # Q² its own scan of each repeat's data would give
         spec = SynthSpec.from_case(case, 0.0, seed=12)
-        both = benchmark_case(
-            spec, repeats=2, r_max=4, lambda_max=3, methods=("hopls", "npls"),
-            hooi_settings=FAST,
-        )
-        alone = benchmark_case(
-            spec, repeats=2, r_max=4, lambda_max=3, methods=("npls",), hooi_settings=FAST
-        )
-        assert both.q2["npls"] == alone.q2["npls"]
-        assert both.selected["npls"] == alone.selected["npls"]
+        res = benchmark_case(spec, repeats=2, r_max=4, lambda_max=3, hooi_settings=FAST)
+        for i in range(2):
+            data = generate(replace(spec, seed=_derive_seed(spec.seed, i)))
+            best = kfold_cv(data.x, data.y, 5, "npls", 4, 3, hooi_settings=FAST).best
+            algo = algorithm("npls", data.y.ndim)
+            model = algo.fit(data.x, data.y, algo.config(*best, data.x.ndim, data.y.ndim), FAST)
+            assert res.selected["npls"][i] == best
+            assert res.q2["npls"][i] == q_squared(data.y_val, algo.predict(model, data.x_val))
 
     def test_matrix_response_dispatch(self):
         spec = SynthSpec.from_case("mr", math.inf, seed=3)

@@ -271,6 +271,7 @@ class TestModelConsistency:
         "name, edit",
         [
             ("hopls", lambda d: d.update(version=2)),
+            ("pls", lambda d: d.update(version=3)),
             ("hopls", lambda d: d.update(extra=1)),
             ("hopls", lambda d: d["config"].update(extra=1)),
             ("hopls2", lambda d: d["components"][0].update(q=array_record(np.ones(5)))),
@@ -288,7 +289,7 @@ class TestModelConsistency:
             ("hopls", lambda d: d["components"][0]["x_core"].update(shape=[1.0, 2, 2])),
             ("pls", lambda d: d.update(y_residual_norms=[True] * 3)),
         ],
-        ids=["version-2", "extra-key", "extra-config-key", "extra-component-key",
+        ids=["version-2", "version-3", "extra-key", "extra-config-key", "extra-component-key",
              "hopls2-tag-on-tensor-response", "hopls-tag-on-matrix-response", "pls-as-hopls",
              "center-list", "center-0", "center-string", "x_shape-float", "x_shape-string",
              "epsilon-string", "n_components-true", "array-shape-float", "norms-true"],
@@ -307,7 +308,7 @@ class TestModelConsistency:
             path = tmp_path / f"{name}.json"
             save_model(path, model)
             doc = json.loads(path.read_bytes())
-            assert doc["version"] == 3
+            assert doc["version"] == 4
             assert "score_operator" not in doc and "response_operator" not in doc
 
 

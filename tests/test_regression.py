@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocks import orthonormal, separated_block_data
-from oracles import pls_predict_sequential, predict_unfolded, rank_one_block
+from oracles import pls_predict_sequential, predict_by_components, rank_one_block
 from tensorpls import (
     DegenerateDataError,
     FitConfig,
@@ -204,6 +204,15 @@ class TestPlsNipals:
         flat = fit_pls_nipals(matricize(x, 0), matricize(y, 0), 4)
         want = predict_pls(flat, matricize(x_new, 0))
         np.testing.assert_allclose(matricize(predict_pls(model, x_new), 0), want, rtol=0, atol=1e-12)
+
+    def test_weights_follow_the_row_major_reshape(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((10, 3, 4))
+        y = rng.standard_normal((10, 2, 3))
+        model = fit_pls_nipals(x, y, 4)
+        flat = fit_pls_nipals(x.reshape(10, -1), y.reshape(10, -1), 4)
+        for name in ("x_weights", "x_loadings", "y_loadings", "coefs"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(flat, name))
 
 
 class TestFitHopls:
@@ -475,7 +484,7 @@ class TestPredictHopls2:
         pred = predict_hopls2(model, x, n_components=1)
         comp = model.components[0]
         q, d = comp.y_loadings[0][:, 0], comp.y_core[0, 0]
-        scores = matricize(x, 0) @ model.score_operator[:, 0]
+        scores = x.reshape(len(x), -1) @ model.score_operator[:, 0]
         by_hand = np.zeros_like(pred)
         for i in range(x.shape[0]):
             for j in range(len(q)):
@@ -527,12 +536,23 @@ def predict_problems(draw, name):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_predictor_matches_unfolded_formula(name, data):
+    """The predictor agrees with the component-wise oracle, which fixes no feature order."""
     algo, model, x_new = data.draw(predict_problems(name))
     for r in range(model.n_components + 1):
-        want = predict_unfolded(model, x_new, r)
+        want = predict_by_components(model, x_new, r)
         got = algo.predict(model, x_new, r)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_score_operator_scores_the_row_major_batch():
+    """W's first column maps the centred training data, read row-major, to t_1."""
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((12, 3, 4, 5))
+    y = rng.standard_normal((12, 2, 6))
+    model = fit_hopls(x, y, FitConfig(2, (2, 2, 2), (2, 2)))
+    scores = (x - model.x_mean).reshape(12, -1) @ model.score_operator[:, 0]
+    np.testing.assert_allclose(scores, model.components[0].t, rtol=0, atol=1e-12)
 
 
 def peak_bytes(call):
