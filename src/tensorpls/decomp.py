@@ -2,11 +2,11 @@
 
 A single deterministic sign convention runs through everything here: the
 largest-magnitude entry of each left singular vector is made positive, ties
-broken by lowest row index. That makes all downstream factor matrices,
-cores and fitted models bit-reproducible. Factor extraction inside
-HOSVD/HOOI switches to a Gram eigendecomposition for unfoldings much wider
-than tall (same vectors, much cheaper); :func:`truncated_svd` itself is
-always the plain LAPACK route.
+broken by lowest row index (one helper, :func:`_fix_signs`, for every
+factor). That makes all downstream factor matrices, cores and fitted models
+bit-reproducible. Factor extraction inside HOSVD/HOOI switches to a Gram
+eigendecomposition for unfoldings much wider than tall (same vectors, much
+cheaper); :func:`truncated_svd` itself is always the plain LAPACK route.
 
 :func:`hosvd` and :func:`hooi` decompose either a tensor or the
 cross-covariance C = <a, b>_1 of a pair that shares the sample mode 0 (the
@@ -17,7 +17,7 @@ two sides projected on their factors, and the HOSVD Grams C_(n) C_(n)^T
 contract over an N x N sample Gram, or over the features (forming C) when C
 is the smaller array (N^2 > prod(I) * prod(J)) or the unfolding is narrow.
 A plain tensor T is the one-sample pair (T[None], ones(1)), so there is one
-engine for both.
+engine for both, and :func:`hosvd` and :func:`hooi` share one start.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, RankError, ShapeMismatchError, SvdConvergenceError
-from .tensor import cross_cov_mode1, fro_norm, matricize, mode_n_product, multi_mode_product
+from .tensor import (
+    _contract_mode0, cross_cov_mode1, fro_norm, matricize, mode_n_product, multi_mode_product,
+)
 
 __all__ = [
     "HooiSettings",
@@ -77,28 +79,26 @@ class TuckerFactors:
     converged: bool = True
 
 
-def _sign_flips(u: np.ndarray) -> np.ndarray | None:
+def _fix_signs(u: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
     # Largest-magnitude entry of each left singular vector made positive;
-    # argmax already breaks ties by lowest index. Returns one factor of +1
-    # or -1 per column (multiplying by -1.0 negates exactly), or None when
-    # no column needs a flip.
+    # argmax already breaks ties by lowest index. Each column of ``u`` and
+    # of ``others`` is multiplied by that column's +1 or -1 (-1.0 negates
+    # exactly); when no column needs a flip the arrays come back as given.
     lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
     negative = lead < 0
     if not negative.any():
-        return None
-    return np.where(negative, -1.0, 1.0)
+        return (u, *others)
+    flips = np.where(negative, -1.0, 1.0)
+    return tuple(m * flips for m in (u, *others))
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flips = _sign_flips(u)
-    if flips is None:
-        return u, v
-    return u * flips, v * flips
-
-
-def _fix_signs_left(u: np.ndarray) -> np.ndarray:
-    flips = _sign_flips(u)
-    return u if flips is None else u * flips
+def _lapack(routine, m: np.ndarray, **kwargs):
+    """``routine(m, **kwargs)`` for ``np.linalg.svd`` or ``eigh``, a LAPACK
+    failure raised as SvdConvergenceError."""
+    try:
+        return routine(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"{routine.__name__} did not converge: {exc}") from exc
 
 
 def truncated_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,10 +121,7 @@ def truncated_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise RankError("truncated_svd expects a matrix")
     if not 1 <= k <= min(m.shape):
         raise RankError(f"k={k} out of range for matrix of shape {m.shape}")
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _lapack(np.linalg.svd, m, full_matrices=False)
     u, v = _fix_signs(u[:, :k], vh[:k].T)
     return u, s[:k].copy(), v
 
@@ -172,11 +169,8 @@ _WIDE_FACTOR = 4
 def _gram_factor(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading k eigenvectors of a Gram matrix ``m m^T`` (the leading left
     singular vectors of ``m``) with the singular values sqrt(eigenvalue)."""
-    try:
-        evals, evecs = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"eigh did not converge: {exc}") from exc
-    u = _fix_signs_left(evecs[:, ::-1][:, :k])
+    evals, evecs = _lapack(np.linalg.eigh, g)
+    (u,) = _fix_signs(evecs[:, ::-1][:, :k])
     s = np.sqrt(np.clip(evals[::-1][:k], 0.0, None))
     return u, s
 
@@ -190,11 +184,8 @@ def _left_singular_factor(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     if cols >= _WIDE_FACTOR * rows:
         return _gram_factor(m @ m.T, k)
     k_eff = min(k, rows, cols)
-    try:
-        u_full, s_full, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    u = _fix_signs_left(u_full[:, :k_eff])
+    u_full, s_full, _ = _lapack(np.linalg.svd, m, full_matrices=False)
+    (u,) = _fix_signs(u_full[:, :k_eff])
     s = s_full[:k_eff].copy()
     if k_eff < k:
         u = np.hstack([u, _orthonormal_complement(u, k - k_eff)])
@@ -229,12 +220,6 @@ def _over_samples(a: np.ndarray, b: np.ndarray) -> bool:
 def _sample_gram(x: np.ndarray) -> np.ndarray:
     flat = x.reshape(x.shape[0], -1)
     return flat @ flat.T
-
-
-def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y>_1: the two sides contracted over their shared sample mode 0."""
-    n = x.shape[0]
-    return (x.reshape(n, -1).T @ y.reshape(n, -1)).reshape(x.shape[1:] + y.shape[1:])
 
 
 def _project(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -288,6 +273,17 @@ def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list
     return factors
 
 
+def _start(a, b, ranks: Sequence[int]):
+    """What :func:`hosvd` and :func:`hooi` start from: the pair, its checked
+    ranks, the HOSVD factors (a list) and each side projected on its own."""
+    a, b = _pair(a, b)
+    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+    factors = _hosvd_factors(a, b, ranks)
+    n_a = a.ndim - 1
+    projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
+    return a, b, ranks, factors, projected
+
+
 def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> TuckerFactors:
     """Truncated higher-order SVD.
 
@@ -297,12 +293,8 @@ def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> T
     holds the leading ``ranks[n]`` left singular vectors of C's mode-n
     matricization; the core is the projection of C onto all factors.
     """
-    a, b = _pair(a, b)
-    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
-    factors = tuple(_hosvd_factors(a, b, ranks))
-    n_a = a.ndim - 1
-    core = _contract(_project(a, factors[:n_a]), _project(b, factors[n_a:]))
-    return TuckerFactors(core=core, factors=factors)
+    _, _, _, factors, projected = _start(a, b, ranks)
+    return TuckerFactors(core=_contract_mode0(*projected), factors=tuple(factors))
 
 
 def hooi(
@@ -323,22 +315,13 @@ def hooi(
     within ``max_iters`` is flagged on the result (``converged=False``), not
     raised.
     """
-    a, b = _pair(a, b)
-    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
-    factors = _hosvd_factors(a, b, ranks)
+    a, b, ranks, factors, projected = _start(a, b, ranks)
     n_a = a.ndim - 1
-    # each side projected on all of its factors, replaced as soon as a side's
-    # factors change: a stale projection still converges, to a wrong point
-    projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
-    core = _contract(*projected)
-    objective = fro_norm(core) ** 2
-    if ranks == a.shape[1:] + b.shape[1:]:
-        # full multilinear rank: any orthonormal full factors are exact, so
-        # the initialization is already optimal and no sweep can improve it
-        return TuckerFactors(core=core, factors=tuple(factors), objective_history=(objective,))
-    history = [objective]
-    converged = False
-    for _ in range(settings.max_iters):
+    history = [fro_norm(_contract_mode0(*projected)) ** 2]
+    # full multilinear rank: any orthonormal full factors are exact, so the
+    # initialization is already optimal and no sweep can improve it
+    converged = ranks == a.shape[1:] + b.shape[1:]
+    for _ in range(0 if converged else settings.max_iters):
         for i, (x, first) in enumerate(((a, 0), (b, n_a))):
             # mode n's projection takes the modes before n with the factors
             # already updated in this sweep, then the later ones with the
@@ -349,21 +332,23 @@ def hooi(
                 for m in range(n + 1, x.ndim - 1):
                     proj = mode_n_product(proj, factors[first + m].T, m + 1)
                 other = projected[1 - i]
-                z = _contract(proj, other) if i == 0 else _contract(other, proj)
+                z = _contract_mode0(proj, other) if i == 0 else _contract_mode0(other, proj)
                 factors[first + n], s = _left_singular_factor(
                     matricize(z, first + n), ranks[first + n]
                 )
                 done = mode_n_product(done, factors[first + n].T, n + 1)
+            # a side's projection is replaced as soon as its factors change:
+            # a stale projection still converges, to a wrong point
             projected[i] = done
         # after the last mode update the core is that factor's transpose
         # applied to its projection, so its squared norm is just sum(s^2)
-        prev, objective = objective, float(s @ s)
+        prev, objective = history[-1], float(s @ s)
         history.append(objective)
         if abs(objective - prev) <= settings.rel_tol * max(prev, np.finfo(float).tiny):
             converged = True
             break
     return TuckerFactors(
-        core=_contract(*projected),
+        core=_contract_mode0(*projected),
         factors=tuple(factors),
         objective_history=tuple(history),
         converged=converged,

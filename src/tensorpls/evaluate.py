@@ -75,14 +75,18 @@ class Metrics:
     corr_per_column: np.ndarray
 
 
-def q_squared(y_true, y_pred) -> float:
-    """1 - |Y - Yhat|_F^2 / |Y|_F^2, on the tensors as given (no centering)."""
+def _operands(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
+    """Both tensors as float64 arrays; their full shapes must agree."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
-        raise ShapeMismatchError(
-            f"shape mismatch {y_true.shape} vs {y_pred.shape}"
-        )
+        raise ShapeMismatchError(f"shape mismatch {y_true.shape} vs {y_pred.shape}")
+    return y_true, y_pred
+
+
+def q_squared(y_true, y_pred) -> float:
+    """1 - |Y - Yhat|_F^2 / |Y|_F^2, on the tensors as given (no centering)."""
+    y_true, y_pred = _operands(y_true, y_pred)
     denom = fro_norm(y_true)
     if denom == 0.0:
         raise DegenerateDataError("q_squared undefined for an all-zero reference")
@@ -91,10 +95,7 @@ def q_squared(y_true, y_pred) -> float:
 
 def q_squared_per_column(y_true, y_pred) -> np.ndarray:
     """Per-column Q² of the mode-0 matricizations (nan for zero columns)."""
-    a = matricize(np.asarray(y_true, dtype=np.float64), 0)
-    b = matricize(np.asarray(y_pred, dtype=np.float64), 0)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = (matricize(t, 0) for t in _operands(y_true, y_pred))
     denom = (a * a).sum(axis=0)
     err = ((a - b) ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -105,12 +106,7 @@ def q_squared_per_column(y_true, y_pred) -> np.ndarray:
 
 def rmsep(y_true, y_pred) -> float:
     """Root mean squared elementwise prediction error."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ShapeMismatchError(
-            f"shape mismatch {y_true.shape} vs {y_pred.shape}"
-        )
+    y_true, y_pred = _operands(y_true, y_pred)
     return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
 
 
@@ -119,10 +115,7 @@ def corr_per_column(y_true, y_pred) -> np.ndarray:
 
     Columns where either side has zero variance get correlation 0.
     """
-    a = matricize(np.asarray(y_true, dtype=np.float64), 0)
-    b = matricize(np.asarray(y_pred, dtype=np.float64), 0)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = (matricize(t, 0) for t in _operands(y_true, y_pred))
     ac = a - a.mean(axis=0)
     bc = b - b.mean(axis=0)
     na = np.linalg.norm(ac, axis=0)

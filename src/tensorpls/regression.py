@@ -43,6 +43,7 @@ call, its configuration, its lambda range and its model-file tag.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -128,13 +129,16 @@ class FitConfig:
     center: bool = True
 
     def __post_init__(self) -> None:
+        # stored as plain Python values: a model file takes no numpy scalar
+        object.__setattr__(self, "n_components", _whole(self.n_components))
+        object.__setattr__(self, "x_ranks", tuple(map(_whole, self.x_ranks)))
+        object.__setattr__(self, "y_ranks", tuple(map(_whole, self.y_ranks)))
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+        object.__setattr__(self, "center", bool(self.center))
         if self.n_components < 1:
             raise RankError("n_components must be >= 1")
-        object.__setattr__(self, "x_ranks", tuple(int(r) for r in self.x_ranks))
-        object.__setattr__(self, "y_ranks", tuple(int(r) for r in self.y_ranks))
         if any(r < 1 for r in self.x_ranks + self.y_ranks):
             raise RankError("all loading counts must be >= 1")
-        _check_epsilon(self.epsilon)
 
     @classmethod
     def uniform(
@@ -263,10 +267,19 @@ class PlsModel(FittedModel):
         return self.y_loadings * self.coefs
 
 
-def _check_epsilon(epsilon: float | None) -> None:
-    # written so that NaN fails too: it would never stop the loop
+def _check_epsilon(epsilon: float | None) -> float | None:
+    # the test is written so that NaN fails too: it would never stop the loop
     if epsilon is not None and not epsilon >= 0:
         raise RankError(f"epsilon must be >= 0, got {epsilon}")
+    return None if epsilon is None else float(epsilon)
+
+
+def _whole(count) -> int:
+    """A count given as a Python or numpy integer, as a Python int."""
+    try:
+        return operator.index(count)
+    except TypeError:
+        raise RankError(f"counts must be whole numbers, got {count!r}") from None
 
 
 def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +311,9 @@ def _row_pinv(row: np.ndarray) -> np.ndarray:
 def _deflate(x, y, n_components: int, epsilon, center: bool, step):
     """The sequential-deflation loop every estimator shares.
 
-    Centres (or copies) X and Y, then calls ``step(e, f)`` on the running
-    residuals once per component. A step returns the deflated residuals and
+    Centres X and Y (or, uncentred, starts from them as given), then calls
+    ``step(e, f)`` on the running residuals once per component. A step
+    returns new deflated residuals, never writing into ``e`` or ``f``, and
     the component's part as ``(e, f, part)``, or a stop reason from
     :data:`STOP_REASONS`. Before each step the loop stops on an exactly zero
     residual (``'zero_cross_cov'``: no shared variance left) or on a residual
@@ -314,7 +328,7 @@ def _deflate(x, y, n_components: int, epsilon, center: bool, step):
         e, x_mean = center_mode1(x)
         f, y_mean = center_mode1(y)
     else:
-        e, f = x.copy(), y.copy()
+        e, f = x, y
         x_mean = y_mean = None
     x_norms = [fro_norm(e)]
     y_norms = [fro_norm(f)]
@@ -390,10 +404,7 @@ def fit_hopls(
         raise ShapeMismatchError(
             "fit_hopls needs order >= 3 on both sides; use fit_hopls2 for a matrix response"
         )
-    if len(cfg.x_ranks) != x.ndim - 1 or len(cfg.y_ranks) != y.ndim - 1:
-        raise RankError(
-            "config must carry one loading count per non-sample mode of X and Y"
-        )
+    # validate_ranks also checks that each side has one count per non-sample mode
     ranks = validate_ranks(cfg.x_ranks, x.shape[1:]) + validate_ranks(cfg.y_ranks, y.shape[1:])
     n_modes_x = x.ndim - 1
 
@@ -442,10 +453,6 @@ def fit_hopls2(
     y = as_matrix(y)
     if x.ndim < 3:
         raise ShapeMismatchError("fit_hopls2 needs an order >= 3 predictor")
-    if len(cfg.x_ranks) != x.ndim - 1:
-        raise RankError(
-            "config must carry one loading count per non-sample mode of X"
-        )
     ranks = (1,) + validate_ranks(cfg.x_ranks, x.shape[1:])
 
     def step(e, f):
@@ -537,7 +544,8 @@ def fit_pls_nipals(
         raise ShapeMismatchError("fit_pls_nipals needs order >= 2 on both sides")
     if not np.any(y):
         raise DegenerateDataError("response matrix is all zeros")
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
+    n_components = _whole(n_components)
     n_x_feat = math.prod(x.shape[1:])
     if not 1 <= n_components <= min(x.shape[0], n_x_feat):
         raise RankError(

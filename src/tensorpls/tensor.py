@@ -20,6 +20,10 @@ fastest, and there the Kronecker factors run forwards:
 ``tucker_assemble(g, [A1..AN]).reshape(len(A1), -1) == A1 @
 g.reshape(len(g), -1) @ kron_all([A2, ..., AN]).T``. The operators of
 :mod:`tensorpls.regression` index their rows in that row-major order.
+
+Each operation has one body: the Tucker products are
+:func:`multi_mode_product` over every mode, and :func:`cross_cov_mode1`
+checks its operands and runs the mode-0 contraction the HOOI sweeps use.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def multi_mode_product(
     """Apply :func:`mode_n_product` for several (matrix, mode) pairs in turn."""
     out = np.asarray(t)
     for a, mode in zip(matrices, modes):
-        out = mode_n_product(out, a.T if transpose else a, mode)
+        out = mode_n_product(out, np.asarray(a).T if transpose else a, mode)
     return out
 
 
@@ -185,7 +189,13 @@ def cross_cov_mode1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"first-mode sizes differ: {x.shape[0]} vs {y.shape[0]}"
         )
-    return np.tensordot(x, y, axes=(0, 0))
+    return _contract_mode0(x, y)
+
+
+def _contract_mode0(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y>_1 without checks: the two row-major views multiplied over mode 0."""
+    n = x.shape[0]
+    return (x.reshape(n, -1).T @ y.reshape(n, -1)).reshape(x.shape[1:] + y.shape[1:])
 
 
 def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -205,10 +215,7 @@ def tucker_assemble(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarr
         raise ShapeMismatchError(
             f"need {core.ndim} factors, got {len(factors)}"
         )
-    out = core
-    for mode, f in enumerate(factors):
-        out = mode_n_product(out, f, mode)
-    return out
+    return multi_mode_product(core, factors, range(core.ndim))
 
 
 def tucker_contract(t: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -216,7 +223,4 @@ def tucker_contract(t: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     t = np.asarray(t)
     if len(factors) != t.ndim:
         raise ShapeMismatchError(f"need {t.ndim} factors, got {len(factors)}")
-    out = t
-    for mode, f in enumerate(factors):
-        out = mode_n_product(out, np.asarray(f).T, mode)
-    return out
+    return multi_mode_product(t, factors, range(t.ndim), transpose=True)

@@ -1,11 +1,15 @@
 import base64
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tensorpls import kfold_cv, read_tensor, write_tensor
 from tensorpls.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
@@ -487,3 +491,108 @@ class TestEntryPoint:
             [sys.executable, "-m", "tensorpls"], capture_output=True
         )
         assert proc.returncode == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# property: any argv on tiny inputs ends in a documented exit code
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Tiny input files, good and broken, and two fitted models."""
+    base = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(31)
+    files = {name: base / f"{name}.ten" for name in ("x3", "y3", "y2", "x4", "vec", "zero")}
+    for name, shape in (("x3", (6, 3, 2)), ("y3", (6, 2, 2)), ("y2", (6, 2)),
+                        ("x4", (6, 2, 2, 2)), ("vec", (6,))):
+        write_tensor(files[name], rng.standard_normal(shape))
+    write_tensor(files["zero"], np.zeros((6, 2, 2)))
+    files["garbage"] = base / "garbage.ten"
+    files["garbage"].write_bytes(b"TEN1 2 6,3 f64 row-major\n" + b"\x00" * 7)
+    files["missing"] = base / "missing.ten"
+    for algo, lam in (("hopls", ["--lambda", "1"]), ("pls", [])):
+        files[algo] = base / f"{algo}.json"
+        assert main(["fit", "--algo", algo, "--x", str(files["x3"]), "--y", str(files["y3"]),
+                     "--r", "2", *lam, "--out", str(files[algo])]) == EXIT_OK
+    files["broken"] = base / "broken.json"
+    files["broken"].write_bytes(files["hopls"].read_bytes()[:-40])
+    files["out"] = tmp_path_factory.mktemp("argv-out")
+    return files
+
+
+def argv_table(files):
+    """Per subcommand: flag -> (good values, bad values, presence).
+
+    A flag with no values is a switch. A ``"required"`` flag is sometimes
+    left out, an ``"optional"`` one often, an ``"always"`` one never.
+    """
+    path = {k: str(v) for k, v in files.items()}
+    bad_tensors = [path[k] for k in ("vec", "zero", "garbage", "missing", "hopls")]
+    xs, ys = ([path["x3"], path["x4"]], bad_tensors), ([path["y3"], path["y2"]], bad_tensors)
+    outs = ([str(files["out"] / "o")], [path["out"], str(files["out"] / "no" / "o")])
+    # a directory apart from the file outputs; an existing file cannot be one
+    out_dirs = ([str(files["out"] / "synth")], [path["x3"]])
+    switch = ((), (), "optional")
+    counts = (["1", "2", "3"], ["0", "-1", "x", "1.5"])
+    algos = (["hopls", "hopls2", "npls", "pls"], ["bogus"])
+    ranks = (["1", "2,1", "1,2,1"], ["0,1", "a", ""])
+    snrs = (["inf", "10", "-5"], ["nan", "-inf", "x"])
+    folds = (["2", "3"], ["1", "x"], "optional")
+    return {
+        "synth": {"--case": (["2t", "mr"], ["9z"], "required"), "--snr": (*snrs, "optional"),
+                  "--seed": (*counts, "required"), "--noise-seed": (*counts, "optional"),
+                  "--latent": (*counts, "optional"), "--out-dir": (*out_dirs, "required")},
+        "fit": {"--algo": (*algos, "required"), "--x": (*xs, "required"),
+                "--y": (*ys, "required"), "--r": (*counts, "required"),
+                "--lambda": (*counts, "optional"), "--l": (*ranks, "optional"),
+                "--k": (*ranks, "optional"),
+                "--epsilon": (["0", "1e-3"], ["-1", "nan", "x"], "optional"),
+                "--no-center": switch, "--out": (*outs, "required")},
+        "predict": {"--model": ([path["hopls"], path["pls"]], [path["broken"], path["x3"]],
+                                "required"),
+                    "--x": (*xs, "required"), "--out": (*outs, "required")},
+        "eval": {"--y-true": (*ys, "required"), "--y-pred": (*ys, "required")},
+        "cv": {"--algo": (*algos, "required"), "--x": (*xs, "required"),
+               "--y": (*ys, "required"), "--folds": folds, "--r-max": (*counts, "required"),
+               "--lambda-max": (*counts, "optional"), "--no-center": switch,
+               "--out": (*outs, "optional")},
+        # the repeat, SNR and grid flags default to a full benchmark: always bound them
+        "bench": {"--case": (["2m", "mr"], ["9z"], "required"), "--seed": (*counts, "required"),
+                  "--repeats": (["1"], ["0", "x"], "always"),
+                  "--snr-list": (["5", "inf,-5"], ["x", "5,-inf"], "always"),
+                  "--folds": folds, "--r-max": (["1", "2"], ["0"], "always"),
+                  "--lambda-max": (["1", "2"], ["0"], "always"), "--out": (*outs, "optional")},
+    }
+
+
+@st.composite
+def argvs(draw, files):
+    """A subcommand with its flags. A required flag is left out, and a value
+    is a bad one, one time in 15 each; an optional flag is there half the
+    time; now and then an unknown token goes in."""
+    table = argv_table(files)
+    command = draw(st.sampled_from(sorted(table) + ["bogus"]))
+    argv = [command]
+    one_in_15 = st.integers(0, 14).map(lambda i: i == 0)
+    left_out = {"required": one_in_15, "optional": st.booleans(), "always": st.just(False)}
+    for flag, (good, bad, presence) in table.get(command, {}).items():
+        if draw(left_out[presence]):
+            continue
+        argv.append(flag)
+        if good:
+            argv.append(draw(st.sampled_from(bad if draw(one_in_15) else good)))
+    if draw(one_in_15):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "7"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_argv_ends_in_a_documented_exit_code(argv_files, data):
+    argv = data.draw(argvs(argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exits {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_NUMERIC), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -49,6 +49,15 @@ class TestMetrics:
         with pytest.raises(ShapeMismatchError):
             q_squared(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("metric", [q_squared, rmsep, q_squared_per_column, corr_per_column])
+    def test_full_shapes_must_match(self, metric):
+        y = np.random.default_rng(3).standard_normal((4, 6))
+        with pytest.raises(ShapeMismatchError):
+            metric(np.ones((3, 1)), np.ones((4, 1)))
+        # equal mode-0 unfolding shapes, but the columns are in different orders
+        with pytest.raises(ShapeMismatchError):
+            metric(y, y.reshape(4, 2, 3))
+
     def test_rmsep_identical(self):
         y = np.ones((3, 2))
         assert rmsep(y, y) == 0.0

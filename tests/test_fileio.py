@@ -17,6 +17,7 @@ from tensorpls import (
     fit_hopls2,
     fit_pls_nipals,
     load_model,
+    predict_hopls,
     read_tensor,
     save_model,
     write_tensor,
@@ -145,6 +146,16 @@ class TestModelFile:
             "--out", str(tmp_path / "pred.ten"),
         ]) == 0
         assert (read_tensor(tmp_path / "pred.ten") == direct).all()
+
+    def test_config_of_numpy_scalars_saves_and_loads_back(self, tmp_path, block_data):
+        eps = np.float32(1e-9)
+        cfg = FitConfig(np.int64(2), (np.int64(2), 2), (2, np.int32(2)), eps, np.bool_(True))
+        model = fit_hopls(block_data.x, block_data.y, cfg)
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        back = load_model(path)
+        assert back.config == model.config == FitConfig(2, (2, 2), (2, 2), float(eps))
+        assert (predict_hopls(back, block_data.x_val) == predict_hopls(model, block_data.x_val)).all()
 
     def test_save_is_deterministic(self, tmp_path, hopls_model):
         save_model(tmp_path / "a.json", hopls_model)
@@ -400,6 +411,22 @@ def document_paths(node, path=()):
 SMALL_JSON_VALUES = ("1e400", "-1", "0", "0.5", "true", '""', "null", "[]", "{}")
 
 
+def set_field(doc, where, text) -> None:
+    """Set the value at key path ``where`` of ``doc`` to the JSON ``text``."""
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = json.loads(text)
+
+
+def reseal(path, doc) -> None:
+    """Write ``doc`` to ``path`` under a checksum that matches it."""
+    doc["checksum"] = hashlib.sha256(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    # json writes inf as Infinity; write the literal 1e400 a file would hold
+    path.write_bytes(json.dumps(doc, sort_keys=True).replace("Infinity", "1e400").encode())
+
+
 def same_json(a, b) -> bool:
     """Equal JSON values, with true and false distinct from the numbers 1 and 0."""
     if isinstance(a, bool) or isinstance(b, bool):
@@ -426,15 +453,8 @@ def test_one_field_set_to_a_small_value_gives_an_exit_code(
     doc.pop("checksum")
     where = data.draw(st.sampled_from(sorted(document_paths(doc), key=repr)))
     text = data.draw(st.sampled_from(SMALL_JSON_VALUES))
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = json.loads(text)
-    doc["checksum"] = hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    # json writes inf as Infinity; write the literal 1e400 a file would hold
-    path.write_bytes(json.dumps(doc, sort_keys=True).replace("Infinity", "1e400").encode())
+    set_field(doc, where, text)
+    reseal(path, doc)
     write_tensor(x_path, block_data.x_val)
     code = cli_main([
         "predict", "--model", str(path), "--x", str(x_path), "--out", str(base / "p.ten"),
@@ -451,3 +471,24 @@ def test_one_field_set_to_a_small_value_gives_an_exit_code(
     for d in (doc, encoded):
         d.pop("checksum")
     assert same_json(encoded, doc), (where, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_several_fields_set_at_once_give_an_exit_code(tmp_path_factory, block_data, models, data):
+    # each field is drawn from the document as the earlier edits left it
+    name = data.draw(st.sampled_from(sorted(models)))
+    base = tmp_path_factory.getbasetemp()
+    path, x_path = base / f"fields-{name}.json", base / "fields-x.ten"
+    save_model(path, models[name])
+    doc = json.loads(path.read_bytes())
+    doc.pop("checksum")
+    for _ in range(data.draw(st.integers(2, 4))):
+        where = data.draw(st.sampled_from(sorted(document_paths(doc), key=repr)))
+        set_field(doc, where, data.draw(st.sampled_from(SMALL_JSON_VALUES)))
+    reseal(path, doc)
+    write_tensor(x_path, block_data.x_val)
+    code = cli_main([
+        "predict", "--model", str(path), "--x", str(x_path), "--out", str(base / "p.ten"),
+    ])
+    assert code in (0, EXIT_PARSE, EXIT_NUMERIC)

@@ -79,6 +79,19 @@ class TestFitConfig:
         with pytest.raises(RankError):
             FitConfig(1, (1, 1), epsilon=float("nan"))
 
+    @pytest.mark.parametrize(
+        "args", [(1.5, (2, 2), (2, 2)), (2, (2.7, 2)), (2, (2, 2), (np.float64(2),))]
+    )
+    def test_fractional_counts_rejected(self, args):
+        with pytest.raises(RankError):
+            FitConfig(*args)
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        cfg = FitConfig(np.int64(2), (np.int32(2), 2), (np.uint8(1),), np.float32(0.5), np.bool_(0))
+        assert cfg == FitConfig(2, (2, 2), (1,), 0.5, False)
+        values = (cfg.n_components, *cfg.x_ranks, *cfg.y_ranks, cfg.epsilon, cfg.center)
+        assert [type(v) for v in values] == [int] * 4 + [float, bool]
+
 
 class TestCenterMode1:
     def test_constant_along_mode0(self):
@@ -152,6 +165,11 @@ class TestPlsNipals:
     def test_r_out_of_range(self):
         with pytest.raises(RankError):
             fit_pls_nipals(np.ones((4, 3)), np.ones((4, 2)), 5)
+
+    def test_fractional_count_rejected(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(RankError):
+            fit_pls_nipals(rng.standard_normal((6, 4)), rng.standard_normal((6, 2)), 2.5)
 
     def test_all_zero_response(self):
         rng = np.random.default_rng(8)
@@ -584,6 +602,21 @@ def test_fit_never_forms_the_cross_covariance():
     cross_cov_bytes = 8 * 24**4  # 2.65 MB
     _, peak = peak_bytes(lambda: fit_hopls(x, y, FitConfig(3, (2, 2), (2, 2))))
     assert peak < cross_cov_bytes / 4
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_uncentred_fit_does_not_copy_its_inputs(name):
+    # a centred fit makes centred copies of X and Y; an uncentred one starts
+    # from X and Y themselves, so its peak is lower by about their size
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((40, 30, 30))
+    y = rng.standard_normal((40, 3) if name == "hopls2" else (40, 30, 30))
+    algo = algorithm(name, y.ndim)
+    peaks = [
+        peak_bytes(lambda: algo.fit(x, y, algo.config(1, 1, x.ndim, y.ndim, center=c)))[1]
+        for c in (True, False)
+    ]
+    assert peaks[1] < peaks[0] - 0.75 * (x.nbytes + y.nbytes)
 
 
 def test_tall_fit_builds_no_sample_gram():
