@@ -92,10 +92,11 @@ def _seed(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """The counts of ``--l``/``--k``, each an integer >= 1."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"invalid integer list {text!r}") from exc
+        return tuple(_count(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"invalid count list {text!r}: {exc}") from None
 
 
 def _snr_json(value: float):
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--r", type=_count, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_count, default=None)
     p.add_argument("--l", default=None, help="per-mode loading counts for X, e.g. 2,3")
     p.add_argument("--k", default=None, help="per-mode loading counts for Y")
     p.add_argument("--epsilon", type=float, default=None)

@@ -20,10 +20,11 @@ produces are plain outer products.
 All three run one deflation loop (:func:`_deflate`): centre, extract one
 component from the running residuals, subtract its fitted block from both,
 and stop when a residual is used up (under epsilon, exactly zero) or the
-requested count is reached. Only the per-component step differs. There are
-two model records, both :class:`FittedModel`: :class:`HoplsModel` holds the
-Tucker blocks of HOPLS, HOPLS2 and N-PLS, :class:`PlsModel` the NIPALS
-vectors.
+requested count is reached. The Tucker fits share one step
+(:func:`_fit_tucker`) and differ only in how they find the latent vector:
+both cores contract the residuals (HOPLS2's is ``d_r = t_r^T F q_r``). Both
+model records are a :class:`FittedModel`: :class:`HoplsModel` holds the
+Tucker blocks of HOPLS, HOPLS2 and N-PLS, :class:`PlsModel` the NIPALS vectors.
 
 Latent vectors have unit norm, all loading matrices are column-orthonormal,
 and models are immutable after fitting. Mode-0 mean-centering is on by
@@ -368,6 +369,28 @@ def _deflate(x, y, n_components: int, epsilon, center: bool, step):
     return shared, parts
 
 
+def _fit_tucker(x, y, cfg: FitConfig, latent) -> HoplsModel:
+    """The deflation loop with the step every Tucker fit shares.
+
+    ``latent(e, f)`` gives ``(t, x_loadings, y_loadings)`` or a stop reason;
+    each core is its residual contracted with them, and each residual loses
+    the component's own fitted block.
+    """
+
+    def step(e, f):
+        out = "zero_cross_cov" if cross_cov_is_zero(e, f) else latent(e, f)
+        if isinstance(out, str):
+            return out
+        t, ps, qs = out
+        t_col = t[:, None]
+        comp = HoplsComponent(t, ps, qs, x_core=tucker_contract(e, (t_col,) + ps),
+                              y_core=tucker_contract(f, (t_col,) + qs))
+        return e - comp.x_block(), f - comp.y_block(), comp
+
+    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
+    return HoplsModel(config=cfg, components=tuple(components), **shared)
+
+
 def fit_hopls(
     x,
     y,
@@ -380,8 +403,7 @@ def fit_hopls(
     residuals is decomposed at rank ``x_ranks + y_ranks`` by orthogonal
     iteration, giving the X- and Y-loadings; the latent vector is the
     leading left singular vector of the X-residual projected on the
-    X-loadings; both cores follow by contraction, and the fitted blocks are
-    subtracted.
+    X-loadings. Both cores follow by contraction, and the blocks are subtracted.
 
     C (prod(I) * prod(J) entries) is not formed unless it is small. Each
     HOOI projection of C is E and F projected on their loadings and
@@ -408,27 +430,15 @@ def fit_hopls(
     ranks = validate_ranks(cfg.x_ranks, x.shape[1:]) + validate_ranks(cfg.y_ranks, y.shape[1:])
     n_modes_x = x.ndim - 1
 
-    def step(e, f):
-        if cross_cov_is_zero(e, f):
-            return "zero_cross_cov"
+    def latent(e, f):
         factors = hooi(e, ranks, hooi_settings, b=f).factors
         ps, qs = factors[:n_modes_x], factors[n_modes_x:]
         proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
         if not np.any(proj):
             return "degenerate_core"
-        t = leading_left_singular_vector(matricize(proj, 0))
-        t_col = t[:, None]
-        comp = HoplsComponent(
-            t=t,
-            x_loadings=ps,
-            y_loadings=qs,
-            x_core=tucker_contract(e, (t_col,) + ps),
-            y_core=tucker_contract(f, (t_col,) + qs),
-        )
-        return e - comp.x_block(), f - comp.y_block(), comp
+        return leading_left_singular_vector(matricize(proj, 0)), ps, qs
 
-    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
-    return HoplsModel(config=cfg, components=tuple(components), **shared)
+    return _fit_tucker(x, y, cfg, latent)
 
 
 def fit_hopls2(
@@ -443,11 +453,11 @@ def fit_hopls2(
     residual tensor over mode 0, C = <F, E>_1 with the response mode first;
     its rank-(1, x_ranks) decomposition yields the unit response loading
     ``q_r`` and the X-loadings. As in :func:`fit_hopls`, C is not formed:
-    HOOI runs on the pair (F, E), and the ``'zero_cross_cov'`` stop is
-    decided from the sample Grams the same way. The latent vector
-    sets the core's vectorization against the projected residual
-    (pseudoinverse step) and is then normalized, all scale being absorbed
-    into the regression scalar ``d_r``, recorded as the 1 x 1 Y core ``[[d_r]]``.
+    HOOI runs on the pair (F, E). The latent vector sets the core's
+    vectorization against the projected residual (pseudoinverse step) and
+    is then normalized. The rest is the step :func:`fit_hopls` takes: the
+    Y core is the 1 x 1 contraction ``[[d_r]]``, d_r = t_r^T F q_r, and F
+    loses the block ``d_r t_r q_r^T``.
     """
     x = astensor(x)
     y = as_matrix(y)
@@ -455,11 +465,8 @@ def fit_hopls2(
         raise ShapeMismatchError("fit_hopls2 needs an order >= 3 predictor")
     ranks = (1,) + validate_ranks(cfg.x_ranks, x.shape[1:])
 
-    def step(e, f):
-        if cross_cov_is_zero(f, e):
-            return "zero_cross_cov"
+    def latent(e, f):
         tuck = hooi(f, ranks, hooi_settings, b=e)
-        q = tuck.factors[0][:, 0]
         ps = tuck.factors[1:]
         c_core_row = matricize(tuck.core, 0)
         if not np.any(c_core_row):
@@ -469,19 +476,9 @@ def fit_hopls2(
         norm_t = float(np.linalg.norm(t_raw))
         if norm_t == 0.0:
             return "degenerate_core"
-        t = (t_raw / norm_t).ravel()
-        d = float((f @ q) @ t)
-        comp = HoplsComponent(
-            t=t,
-            x_loadings=ps,
-            y_loadings=(q[:, None],),
-            x_core=tucker_contract(e, (t[:, None],) + ps),
-            y_core=np.array([[d]]),
-        )
-        return e - comp.x_block(), f - d * np.outer(t, q), comp
+        return (t_raw / norm_t).ravel(), ps, tuck.factors[:1]
 
-    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
-    return HoplsModel(config=cfg, components=tuple(components), **shared)
+    return _fit_tucker(x, y, cfg, latent)
 
 
 def _nipals_step(e: np.ndarray, f: np.ndarray):

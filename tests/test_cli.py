@@ -440,11 +440,14 @@ class TestExitCodes:
         ("bench --case 2t --seed -1", EXIT_USAGE),
         ("synth --case 2t --snr=-inf --seed 1 --out-dir {tmp}/z", EXIT_USAGE),
         ("bench --case 2t --seed 1 --snr-list 10,-inf", EXIT_USAGE),
+        ("fit --algo hopls --x {x} --y {y} --r 1 --lambda 0 --out {tmp}/m.json", EXIT_USAGE),
+        ("fit --algo hopls --x {x} --y {y} --r 1 --l 0,2 --out {tmp}/m.json", EXIT_USAGE),
     ], ids=[
         "cv-r-max", "cv-lambda-max", "bench-r-max", "bench-lambda-max", "bench-repeats",
         "synth-latent", "cv-order-1", "fit-all-zero", "predict-non-utf8-model",
         "fit-r", "cv-folds-0", "cv-folds-1", "bench-folds", "synth-seed",
         "synth-noise-seed", "bench-seed", "synth-snr-minus-inf", "bench-snr-list-minus-inf",
+        "fit-lambda-0", "fit-l-entry-0",
     ])
     def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
         vec, zero = tmp_path / "vec.ten", tmp_path / "zero.ten"

@@ -1,6 +1,7 @@
 """Properties of the sequential-deflation loop shared by every estimator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,11 +10,12 @@ from tensorpls import (
     fit_hopls,
     fit_hopls2,
     fit_pls_nipals,
+    fro_norm,
     predict_hopls,
     predict_hopls2,
     predict_pls,
 )
-from tensorpls.regression import STOP_REASONS
+from tensorpls.regression import STOP_REASONS, algorithm
 
 
 @st.composite
@@ -111,3 +113,26 @@ def test_hopls_loadings_are_column_orthonormal(problem):
 def test_hopls2_loadings_are_column_orthonormal(problem):
     x, y, x_ranks, _, r, center = problem
     assert_orthonormal_loadings(fit_hopls2(x, y, FitConfig(r, x_ranks, center=center)).components)
+
+
+@pytest.mark.parametrize("name, y_shape", [
+    ("hopls", (15, 3, 2)), ("npls", (15, 3, 2)), ("hopls2", (15, 3)),
+])
+def test_residuals_are_the_recorded_blocks_subtracted(name, y_shape):
+    """A Tucker fit deflates by the blocks its model records: subtracting the
+    components' ``x_block()``/``y_block()`` in order from the centred data
+    gives its residual norms bit for bit."""
+    algo = algorithm(name, len(y_shape))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((15, 4, 5))
+        y = rng.standard_normal(y_shape)
+        model = algo.fit(x, y, algo.config(4, algo.fixed_lam or 2, x.ndim, y.ndim))
+        e, f = x - x.mean(axis=0), y - y.mean(axis=0)
+        x_norms, y_norms = [fro_norm(e)], [fro_norm(f)]
+        for comp in model.components:
+            e, f = e - comp.x_block(), f - comp.y_block()
+            x_norms.append(fro_norm(e))
+            y_norms.append(fro_norm(f))
+        assert tuple(x_norms) == model.x_residual_norms, seed
+        assert tuple(y_norms) == model.y_residual_norms, seed
