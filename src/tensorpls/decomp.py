@@ -83,12 +83,10 @@ def _fix_signs(u: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
     # Largest-magnitude entry of each left singular vector made positive;
     # argmax already breaks ties by lowest index. Each column of ``u`` and
     # of ``others`` is multiplied by that column's +1 or -1 (-1.0 negates
-    # exactly); when no column needs a flip the arrays come back as given.
+    # exactly), always: every factor comes back as a fresh C-order array,
+    # whatever LAPACK's layout, so the products it enters take one BLAS path.
     lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    negative = lead < 0
-    if not negative.any():
-        return (u, *others)
-    flips = np.where(negative, -1.0, 1.0)
+    flips = np.where(lead < 0, -1.0, 1.0)
     return tuple(m * flips for m in (u, *others))
 
 
