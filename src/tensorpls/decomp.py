@@ -18,20 +18,26 @@ contract over an N x N sample Gram, or over the features (forming C) when C
 is the smaller array (N^2 > prod(I) * prod(J)) or the unfolding is narrow.
 A plain tensor T is the one-sample pair (T[None], ones(1)), so there is one
 engine for both, and :func:`hosvd` and :func:`hooi` share one start.
+
+The engine runs on a stack of pairs with the same shapes and ranks, along a
+leading batch axis: cross-validation decomposes the residuals of all its
+folds in one lockstep HOOI, each item with its own convergence test, and
+:func:`hosvd` and :func:`hooi` are a batch of one. Every LAPACK and BLAS
+call sees an item in the layout a single pair gives it, so an item's result
+has the bits of its own call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, RankError, ShapeMismatchError, SvdConvergenceError
-from .tensor import (
-    _contract_mode0, cross_cov_mode1, fro_norm, matricize, mode_n_product, multi_mode_product,
-)
+from .tensor import _contract_samples, _mode_product, _multi_mode_product, _unfold, fro_norm
 
 __all__ = [
     "HooiSettings",
@@ -58,10 +64,15 @@ class HooiSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValueError(f"max_iters must be a whole number, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
+        # written so that NaN fails too: no sweep would ever pass the test
+        if not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +90,18 @@ class TuckerFactors:
     converged: bool = True
 
 
+
+
 def _fix_signs(u: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
     # Largest-magnitude entry of each left singular vector made positive;
     # argmax already breaks ties by lowest index. Each column of ``u`` and
-    # of ``others`` is multiplied by that column's +1 or -1 (-1.0 negates
-    # exactly), always: every factor comes back as a fresh C-order array,
-    # whatever LAPACK's layout, so the products it enters take one BLAS path.
-    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    flips = np.where(lead < 0, -1.0, 1.0)
+    # of ``others`` (or of each item of their stacks) is multiplied by that
+    # column's +1 or -1 (-1.0 negates exactly), always: every factor comes
+    # back as a fresh array, whatever LAPACK's layout, so the products it
+    # enters take one BLAS path.
+    items = (np.arange(len(u))[:, None],) if u.ndim == 3 else ()
+    lead = u[(*items, np.abs(u).argmax(axis=-2), np.arange(u.shape[-1]))]
+    flips = np.where(lead < 0, -1.0, 1.0)[..., None, :]
     return tuple(m * flips for m in (u, *others))
 
 
@@ -119,9 +134,14 @@ def truncated_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise RankError("truncated_svd expects a matrix")
     if not 1 <= k <= min(m.shape):
         raise RankError(f"k={k} out of range for matrix of shape {m.shape}")
+    return _truncated_svd(m, k)
+
+
+def _truncated_svd(m: np.ndarray, k: int):
+    """:func:`truncated_svd` of a matrix or of each item of a stack, unchecked."""
     u, s, vh = _lapack(np.linalg.svd, m, full_matrices=False)
-    u, v = _fix_signs(u[:, :k], vh[:k].T)
-    return u, s[:k].copy(), v
+    u, v = _fix_signs(u[..., :k], vh[..., :k, :].swapaxes(-1, -2))
+    return u, s[..., :k].copy(), v
 
 
 def leading_left_singular_vector(m: np.ndarray) -> np.ndarray:
@@ -151,10 +171,10 @@ def validate_ranks(ranks: Sequence[int], shape: Sequence[int]) -> tuple[int, ...
 def _orthonormal_complement(u: np.ndarray, extra: int) -> np.ndarray:
     # Deterministic basis of the orthogonal complement: dominant singular
     # vectors of the projector I - u u^T (singular values are exactly 1).
-    n = u.shape[0]
-    projector = np.eye(n) - u @ u.T
-    comp, _, _ = truncated_svd(projector, n - u.shape[1])
-    return comp[:, :extra]
+    n = u.shape[-2]
+    projector = np.eye(n) - u @ u.swapaxes(-1, -2)
+    comp, _, _ = _truncated_svd(projector, n - u.shape[-1])
+    return comp[..., :extra]
 
 
 # Unfoldings at least this many times wider than tall (columns >= 4 rows) get
@@ -165,28 +185,29 @@ _WIDE_FACTOR = 4
 
 
 def _gram_factor(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k eigenvectors of a Gram matrix ``m m^T`` (the leading left
-    singular vectors of ``m``) with the singular values sqrt(eigenvalue)."""
+    """Leading k eigenvectors of a stack of Gram matrices ``m m^T`` (the
+    leading left singular vectors of ``m``) with the singular values
+    sqrt(eigenvalue)."""
     evals, evecs = _lapack(np.linalg.eigh, g)
-    (u,) = _fix_signs(evecs[:, ::-1][:, :k])
-    s = np.sqrt(np.clip(evals[::-1][:k], 0.0, None))
+    (u,) = _fix_signs(evecs[..., ::-1][..., :k])
+    s = np.sqrt(np.clip(evals[..., ::-1][..., :k], 0.0, None))
     return u, s
 
 
 def _left_singular_factor(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k left singular vectors (with their singular values), padded
-    with an orthonormal complement when the matrix has fewer than k columns
-    (the extra directions carry zero core weight, so reconstructions are
-    unaffected)."""
-    rows, cols = m.shape
+    """Leading k left singular vectors (with their singular values) of each
+    matrix of a stack, padded with an orthonormal complement when the
+    matrices have fewer than k columns (the extra directions carry zero core
+    weight, so reconstructions are unaffected)."""
+    rows, cols = m.shape[-2:]
     if cols >= _WIDE_FACTOR * rows:
-        return _gram_factor(m @ m.T, k)
+        return _gram_factor(m @ m.swapaxes(-1, -2), k)
     k_eff = min(k, rows, cols)
     u_full, s_full, _ = _lapack(np.linalg.svd, m, full_matrices=False)
-    (u,) = _fix_signs(u_full[:, :k_eff])
-    s = s_full[:k_eff].copy()
+    (u,) = _fix_signs(u_full[..., :k_eff])
+    s = s_full[..., :k_eff].copy()
     if k_eff < k:
-        u = np.hstack([u, _orthonormal_complement(u, k - k_eff)])
+        u = np.concatenate([u, _orthonormal_complement(u, k - k_eff)], axis=-1)
     return u, s
 
 
@@ -208,21 +229,25 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+# From here on ``a`` and ``b`` are stacks of pairs: item i is the pair
+# (a[i], b[i]), with its samples on axis 1.
+
+
 def _over_samples(a: np.ndarray, b: np.ndarray) -> bool:
     """The contraction order for C's Grams: over the N x N sample Gram of one
     side when N^2 <= prod(I) prod(J), else over that side's features, which
     forms C (then the smaller array). Tall data never builds an N x N array."""
-    return a.shape[0] ** 2 <= math.prod(a.shape[1:]) * math.prod(b.shape[1:])
+    return a.shape[1] ** 2 <= math.prod(a.shape[2:]) * math.prod(b.shape[2:])
 
 
 def _sample_gram(x: np.ndarray) -> np.ndarray:
-    flat = x.reshape(x.shape[0], -1)
-    return flat @ flat.T
+    flat = x.reshape(x.shape[:2] + (-1,))
+    return flat @ flat.swapaxes(1, 2)
 
 
 def _project(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """One side of a pair projected on its factors (modes 1.. of ``x``)."""
-    return multi_mode_product(x, factors, range(1, x.ndim), transpose=True)
+    """One side of each pair projected on its factors (the item modes 1..)."""
+    return _multi_mode_product(x, factors, range(2, x.ndim), transpose=True)
 
 
 def cross_cov_is_zero(a, b) -> bool:
@@ -234,13 +259,20 @@ def cross_cov_is_zero(a, b) -> bool:
     by entry instead.
     """
     a, b = _pair(a, b)
+    return _cross_cov_zero(a[None], b[None])[0]
+
+
+def _cross_cov_zero(a: np.ndarray, b: np.ndarray) -> list[bool]:
+    """:func:`cross_cov_is_zero` of every pair of the stacks."""
     if _over_samples(a, b):
-        return float(np.vdot(_sample_gram(a), _sample_gram(b))) == 0.0
-    return not np.any(cross_cov_mode1(a, b))
+        grams = zip(_sample_gram(a), _sample_gram(b))
+        return [float(np.vdot(ga, gb)) == 0.0 for ga, gb in grams]
+    return [not np.any(c) for c in _contract_samples(a, b)]
 
 
 def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
-    """Per mode n, the leading left singular vectors of C_(n), C = <a, b>_1.
+    """Per mode n, the leading left singular vectors of C_(n), C = <a, b>_1,
+    as a stack over the pairs.
 
     A wide unfolding takes them from C_(n) C_(n)^T. Over the samples that
     Gram is sum_{s,s'} K[s,s'] x_s,(n) x_s',(n)^T, where x is the side that
@@ -248,38 +280,37 @@ def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list
     the samples, contracted with x over everything but mode n. Otherwise
     (a narrow unfolding, or tall data) C is formed.
     """
-    shape = a.shape[1:] + b.shape[1:]
+    shape = a.shape[2:] + b.shape[2:]
     size = math.prod(shape)
     over_samples = _over_samples(a, b)
     c = None
     factors = []
     for x, other in ((a, b), (b, a)):
         weighted = None
-        for axis in range(1, x.ndim):
+        for axis in range(2, x.ndim):
             n = len(factors)
             if over_samples and size >= _WIDE_FACTOR * shape[n] ** 2:
                 if weighted is None:
-                    flat = x.reshape(x.shape[0], -1)
+                    flat = x.reshape(x.shape[:2] + (-1,))
                     weighted = (_sample_gram(other) @ flat).reshape(x.shape)
-                gram = matricize(weighted, axis) @ matricize(x, axis).T
+                gram = _unfold(weighted, axis) @ _unfold(x, axis).swapaxes(1, 2)
                 u, _ = _gram_factor(gram, ranks[n])
             else:
                 if c is None:
-                    c = cross_cov_mode1(a, b)
-                u, _ = _left_singular_factor(matricize(c, n), ranks[n])
+                    c = _contract_samples(a, b)
+                u, _ = _left_singular_factor(_unfold(c, n + 1), ranks[n])
             factors.append(u)
     return factors
 
 
-def _start(a, b, ranks: Sequence[int]):
-    """What :func:`hosvd` and :func:`hooi` start from: the pair, its checked
-    ranks, the HOSVD factors (a list) and each side projected on its own."""
-    a, b = _pair(a, b)
-    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+def _start(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]):
+    """What :func:`hosvd` and :func:`hooi` start from: the C-order stacks,
+    the HOSVD factors (a list of stacks) and each side projected on its own."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     factors = _hosvd_factors(a, b, ranks)
-    n_a = a.ndim - 1
+    n_a = a.ndim - 2
     projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
-    return a, b, ranks, factors, projected
+    return a, b, factors, projected
 
 
 def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> TuckerFactors:
@@ -291,8 +322,12 @@ def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> T
     holds the leading ``ranks[n]`` left singular vectors of C's mode-n
     matricization; the core is the projection of C onto all factors.
     """
-    _, _, _, factors, projected = _start(a, b, ranks)
-    return TuckerFactors(core=_contract_mode0(*projected), factors=tuple(factors))
+    a, b = _pair(a, b)
+    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+    _, _, factors, projected = _start(a[None], b[None], ranks)
+    return TuckerFactors(
+        core=_contract_samples(*projected)[0], factors=tuple(f[0] for f in factors)
+    )
 
 
 def hooi(
@@ -311,43 +346,84 @@ def hooi(
     all of its current factors, and the two are contracted over the samples.
     The core-norm objective is non-decreasing across sweeps. Non-convergence
     within ``max_iters`` is flagged on the result (``converged=False``), not
-    raised.
+    raised. This is a batch of one of the lockstep engine.
     """
-    a, b, ranks, factors, projected = _start(a, b, ranks)
-    n_a = a.ndim - 1
-    history = [fro_norm(_contract_mode0(*projected)) ** 2]
+    a, b = _pair(a, b)
+    ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
+    core, factors, history, converged = _hooi(a[None], b[None], ranks, settings)
+    return TuckerFactors(
+        core=core[0],
+        factors=tuple(f[0] for f in factors),
+        objective_history=tuple(history[0]),
+        converged=converged[0],
+    )
+
+
+def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSettings):
+    """:func:`hooi` of every pair of the stacks ``a`` and ``b``, in lockstep.
+
+    Returns the core stack, the list of factor stacks, and per item its
+    objective history (a list) and converged flag. Each item runs the
+    serial stopping test on its own objective, float(s @ s); an item that
+    converges leaves the stacks by index, with its core and factors as they
+    stand, and the others sweep on. While every item is still sweeping the
+    sweeps run on the stacks themselves, copying nothing.
+    """
+    a, b, factors, projected = _start(a, b, ranks)
+    n_a = a.ndim - 2
+    core = _contract_samples(*projected)
+    history = [[fro_norm(c) ** 2] for c in core]
     # full multilinear rank: any orthonormal full factors are exact, so the
     # initialization is already optimal and no sweep can improve it
-    converged = ranks == a.shape[1:] + b.shape[1:]
-    for _ in range(0 if converged else settings.max_iters):
+    full = ranks == a.shape[2:] + b.shape[2:]
+    converged = [full] * len(a)
+    active = np.arange(len(a))
+    finished = []  # (items, core stack, factor stacks) of the items done
+    for _ in range(0 if full else settings.max_iters):
         for i, (x, first) in enumerate(((a, 0), (b, n_a))):
             # mode n's projection takes the modes before n with the factors
             # already updated in this sweep, then the later ones with the
             # previous ones; the first part is carried from mode to mode
             done = x
-            for n in range(x.ndim - 1):
+            for n in range(x.ndim - 2):
                 proj = done
-                for m in range(n + 1, x.ndim - 1):
-                    proj = mode_n_product(proj, factors[first + m].T, m + 1)
+                for m in range(n + 1, x.ndim - 2):
+                    proj = _mode_product(proj, factors[first + m].swapaxes(1, 2), m + 2)
                 other = projected[1 - i]
-                z = _contract_mode0(proj, other) if i == 0 else _contract_mode0(other, proj)
+                z = _contract_samples(proj, other) if i == 0 else _contract_samples(other, proj)
                 factors[first + n], s = _left_singular_factor(
-                    matricize(z, first + n), ranks[first + n]
+                    _unfold(z, first + n + 1), ranks[first + n]
                 )
-                done = mode_n_product(done, factors[first + n].T, n + 1)
+                done = _mode_product(done, factors[first + n].swapaxes(1, 2), n + 2)
             # a side's projection is replaced as soon as its factors change:
             # a stale projection still converges, to a wrong point
             projected[i] = done
         # after the last mode update the core is that factor's transpose
         # applied to its projection, so its squared norm is just sum(s^2)
-        prev, objective = history[-1], float(s @ s)
-        history.append(objective)
-        if abs(objective - prev) <= settings.rel_tol * max(prev, np.finfo(float).tiny):
-            converged = True
+        stop = []
+        for j, (item, s_item) in enumerate(zip(active, s)):
+            prev, objective = history[item][-1], float(s_item @ s_item)
+            history[item].append(objective)
+            if abs(objective - prev) <= settings.rel_tol * max(prev, np.finfo(float).tiny):
+                converged[item] = True
+                stop.append(j)
+        if len(stop) == len(active):
             break
-    return TuckerFactors(
-        core=_contract_mode0(*projected),
-        factors=tuple(factors),
-        objective_history=tuple(history),
-        converged=converged,
-    )
+        if stop:
+            going = np.setdiff1d(np.arange(len(active)), stop)
+            finished.append((active[stop], _contract_samples(*(p[stop] for p in projected)),
+                             [f[stop] for f in factors]))
+            a, b, active = a[going], b[going], active[going]
+            factors = [f[going] for f in factors]
+            projected = [p[going] for p in projected]
+    if not finished:
+        return _contract_samples(*projected), factors, history, converged
+    finished.append((active, _contract_samples(*projected), factors))
+    core = np.empty(core.shape)
+    factors = [np.empty((len(core),) + f.shape[1:]) for f in factors]
+    for items, item_core, item_factors in finished:
+        core[items] = item_core
+        for out, f in zip(factors, item_factors):
+            out[items] = f
+    return core, factors, history, converged
+

@@ -20,12 +20,15 @@ share bit-identical clean parts.
 
 Cross-validation scans its own (R, lambda) grid on deterministic contiguous
 folds along mode 0: lambda ascends, one config is fitted per fold and step,
-and each R stops after the first drop in its mean validation Q².
+and each R stops after the first drop in its mean validation Q². The folds
+are grouped by training size, and each group's fits of a step run as one
+lockstep fit over the stacked training sets, with the bits of separate fits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .decomp import HooiSettings
 from .errors import DegenerateDataError, ShapeMismatchError
-from .regression import FitConfig, algorithm
+from .regression import FitConfig, _fit_stack, algorithm
 from .tensor import astensor, fro_norm, matricize, tucker_assemble
 
 __all__ = [
@@ -381,6 +384,14 @@ def grid_candidates(
     ]
 
 
+def _count(value, name: str, error: type[Exception]) -> int:
+    """A count given as a Python or numpy integer, as a Python int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be a whole number, got {value!r}") from None
+
+
 def _fold_slices(n: int, folds: int) -> list[slice]:
     return [slice(f * n // folds, (f + 1) * n // folds) for f in range(folds)]
 
@@ -418,11 +429,16 @@ def kfold_cv(
     Components are extracted sequentially, so per lambda one fit per fold at
     the largest pending R yields every smaller-R model exactly; prefix r is
     scored as ``q_squared`` of the model's own prediction from its leading r
-    components. ``algo`` names an entry of the algorithm table; on a matrix
+    components. The folds with one training size are fitted together, as
+    one lockstep fit of the stacked training sets (PLS: one at a time); each
+    fold's model has the bits of its own fit. ``algo`` names an entry of the algorithm table; on a matrix
     response the tensor methods run their matrix-response variant.
     """
     x = astensor(x)
     y = astensor(y)
+    folds = _count(folds, "folds", DegenerateDataError)
+    r_max = _count(r_max, "r_max", ValueError)
+    lambda_max = _count(lambda_max, "lambda_max", ValueError)
     entry = algorithm(algo, y.ndim)
     lam_top = _lam_top(entry, x.shape, y.shape, lambda_max)
     if folds < 2:
@@ -435,14 +451,25 @@ def kfold_cv(
         raise ValueError(f"the grid needs r_max and lambda_max >= 1, got {r_max}, {lambda_max}")
 
     splits = [(_split(x, sl), _split(y, sl)) for sl in _fold_slices(x.shape[0], folds)]
+    # the folds of one training size are fitted as one stack
+    sizes: dict[int, list[int]] = {}
+    for k, ((train_x, _), _) in enumerate(splits):
+        sizes.setdefault(len(train_x), []).append(k)
+    groups = [
+        (ks, np.stack([splits[k][0][0] for k in ks]), np.stack([splits[k][1][0] for k in ks]))
+        for ks in sizes.values()
+    ]
     grid: dict[tuple[int, int], float] = {}
     per_fold: dict[tuple[int, int], tuple[float, ...]] = {}
     pending = list(range(1, r_max + 1))
     for lam in range(1, lam_top + 1):
         cfg = entry.config(pending[-1], lam, x.ndim, y.ndim, center=center)
+        models = [None] * folds
+        for ks, train_xs, train_ys in groups:
+            for k, model in zip(ks, _fit_stack(entry, train_xs, train_ys, cfg, hooi_settings)):
+                models[k] = model
         scores: dict[int, list[float]] = {r: [] for r in pending}
-        for (train_x, test_x), (train_y, test_y) in splits:
-            model = entry.fit(train_x, train_y, cfg, hooi_settings)
+        for model, ((_, test_x), (_, test_y)) in zip(models, splits):
             for r in pending:
                 scores[r].append(q_squared(test_y, entry.predict(model, test_x, r)))
         for r in pending:

@@ -22,7 +22,11 @@ component from the running residuals, subtract its fitted block from both,
 and stop when a residual is used up (under epsilon, exactly zero) or the
 requested count is reached. The Tucker fits share one step
 (:func:`_fit_tucker`) and differ only in how they find the latent vector:
-both cores contract the residuals (HOPLS2's is ``d_r = t_r^T F q_r``). Both
+both cores contract the residuals (HOPLS2's is ``d_r = t_r^T F q_r``).
+The loop and the Tucker step run on a stack of fits along a leading batch
+axis, each fit with its own stop tests and stop reason; a public fit is a
+batch of one, and cross-validation fits its folds as one stack
+(:func:`_fit_stack`; PLS still one fold at a time). Both
 model records are a :class:`FittedModel`: :class:`HoplsModel` holds the
 Tucker blocks of HOPLS, HOPLS2 and N-PLS, :class:`PlsModel` the NIPALS vectors.
 
@@ -53,21 +57,20 @@ import numpy as np
 
 from .decomp import (
     HooiSettings,
-    cross_cov_is_zero,
+    _cross_cov_zero,
+    _hooi,
+    _truncated_svd,
     hooi,
-    leading_left_singular_vector,
     validate_ranks,
 )
 from .errors import DegenerateDataError, RankError, ShapeMismatchError
 from .tensor import (
-    as_matrix,
+    _multi_mode_product,
+    _unfold,
     astensor,
     fro_norm,
     kron_all,
-    matricize,
-    multi_mode_product,
     tucker_assemble,
-    tucker_contract,
 )
 
 __all__ = [
@@ -224,7 +227,7 @@ class HoplsModel(FittedModel):
     @cached_property
     def score_operator(self) -> np.ndarray:
         return _columns(
-            [kron_all(c.x_loadings) @ _row_pinv(c.x_core) for c in self.components],
+            [kron_all(c.x_loadings) @ _row_pinv(c.x_core.reshape(1, -1)) for c in self.components],
             math.prod(self.x_shape),
         )
 
@@ -285,9 +288,15 @@ def _whole(count) -> int:
 
 def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove the mode-0 mean; returns (centered tensor, mean field)."""
-    t = astensor(t)
-    mean = t.mean(axis=0)
-    return t - mean, mean
+    centred, (mean,) = _centre(astensor(t)[None])
+    return centred[0], mean
+
+
+def _centre(ts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each item of a stack with its mode-0 mean removed, and the means (each
+    taken on its item, so with the item's own summation order)."""
+    means = [t.mean(axis=0) for t in ts]
+    return ts - np.stack(means)[:, None], means
 
 
 def _columns(vectors, rows: int) -> np.ndarray:
@@ -295,100 +304,155 @@ def _columns(vectors, rows: int) -> np.ndarray:
     return np.column_stack(vectors) if vectors else np.zeros((rows, 0))
 
 
-def _row_pinv(row: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of ``row`` read as a 1 x K row vector in
-    row-major order (K x 1 result).
+def _row_pinv(rows: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of each 1 x K row of ``rows`` (..., 1, K),
+    as the (..., K, 1) columns row^T / (row row^T).
 
     A row has a single singular value (its norm), so the usual
-    rcond * s_max cutoff degenerates to the exact-zero check.
+    rcond * s_max cutoff degenerates to the exact-zero check: a zero row's
+    pseudoinverse is zero.
     """
-    row = np.asarray(row).reshape(1, -1)
-    s2 = float(np.dot(row[0], row[0]))
-    if s2 == 0.0:
-        return np.zeros((row.shape[1], 1))
-    return row.T / s2
+    s2 = [float(np.dot(r, r)) for r in rows.reshape(-1, rows.shape[-1])]
+    s2 = np.reshape(s2, rows.shape[:-1] + (1,))
+    pinv = np.divide(rows, s2, out=np.zeros(rows.shape), where=s2 != 0.0)
+    return pinv.swapaxes(-1, -2)
 
 
-def _deflate(x, y, n_components: int, epsilon, center: bool, step):
-    """The sequential-deflation loop every estimator shares.
+def _going(outcomes: list, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The stacks cut to the items whose outcome is None (as they are when
+    no item has another outcome)."""
+    keep = [j for j, out in enumerate(outcomes) if out is None]
+    if len(keep) == len(outcomes):
+        return stacks
+    return tuple(s[keep] for s in stacks)
 
-    Centres X and Y (or, uncentred, starts from them as given), then calls
-    ``step(e, f)`` on the running residuals once per component. A step
-    returns new deflated residuals, never writing into ``e`` or ``f``, and
-    the component's part as ``(e, f, part)``, or a stop reason from
-    :data:`STOP_REASONS`. Before each step the loop stops on an exactly zero
-    residual (``'zero_cross_cov'``: no shared variance left) or on a residual
-    norm at or under epsilon (``'epsilon'``; ``None`` means ``1e-8`` times
-    the initial norm, separately per side).
 
-    Returns the :class:`FittedModel` fields as a dict and the list of parts.
+def _fill(outcomes: list, values) -> None:
+    """Put ``values``, in order, into the entries of ``outcomes`` that are None."""
+    values = iter(values)
+    for j, out in enumerate(outcomes):
+        if out is None:
+            outcomes[j] = next(values)
+
+
+def _deflate(xs, ys, n_components: int, epsilon, center: bool, step):
+    """The sequential-deflation loop every estimator shares, on a stack of fits.
+
+    Item i of the leading batch axis of ``xs`` and ``ys`` is one fit's X and
+    Y; a single fit is a batch of one. Centres each item (or, uncentred,
+    starts from them as given), then calls ``step(e, f)`` once per component
+    on the stacked residuals of the fits still going. A step returns
+    ``(outcomes, e, f)``: per item either its part or a stop reason from
+    :data:`STOP_REASONS`, and the new deflated residuals of the items with a
+    part (never written into the old ones). Before each step a fit stops on
+    an exactly zero residual (``'zero_cross_cov'``: no shared variance left)
+    or on a residual norm at or under epsilon (``'epsilon'``; ``None``
+    means ``1e-8`` times the initial norm, separately per side). A fit that
+    stops leaves the stacks by index; every stop test is the one a single
+    fit makes, on its own norms.
+
+    Returns, per fit, the :class:`FittedModel` fields as a dict and the
+    list of parts.
     """
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
+    if xs.shape[1] != ys.shape[1]:
+        raise ShapeMismatchError(f"sample counts differ: {xs.shape[1]} vs {ys.shape[1]}")
     if center:
-        e, x_mean = center_mode1(x)
-        f, y_mean = center_mode1(y)
+        (e, x_means), (f, y_means) = _centre(xs), _centre(ys)
     else:
-        e, f = x, y
-        x_mean = y_mean = None
-    x_norms = [fro_norm(e)]
-    y_norms = [fro_norm(f)]
+        e, f = xs, ys
+        x_means = y_means = [None] * len(xs)
+    x_norms = [[fro_norm(item)] for item in e]
+    y_norms = [[fro_norm(item)] for item in f]
     if epsilon is None:
-        eps_x = DEFAULT_EPSILON_FACTOR * x_norms[0]
-        eps_y = DEFAULT_EPSILON_FACTOR * y_norms[0]
+        eps = [(DEFAULT_EPSILON_FACTOR * xn[0], DEFAULT_EPSILON_FACTOR * yn[0])
+               for xn, yn in zip(x_norms, y_norms)]
     else:
-        eps_x = eps_y = epsilon
+        eps = [(epsilon, epsilon)] * len(xs)
 
-    parts = []
-    stop_reason = "completed"
-    while len(parts) < n_components:
-        if x_norms[-1] == 0.0 or y_norms[-1] == 0.0:
-            stop_reason = "zero_cross_cov"
+    parts = [[] for _ in xs]
+    stop_reasons = ["completed"] * len(xs)
+    active = list(range(len(xs)))
+    for _ in range(n_components):
+        outcomes = [
+            "zero_cross_cov" if x_norms[i][-1] == 0.0 or y_norms[i][-1] == 0.0
+            else "epsilon" if x_norms[i][-1] <= eps[i][0] or y_norms[i][-1] <= eps[i][1]
+            else None
+            for i in active
+        ]
+        e, f = _going(outcomes, e, f)
+        if len(e):
+            found, e, f = step(e, f)
+            _fill(outcomes, found)
+        for i, out in zip(active, outcomes):
+            if isinstance(out, str):
+                stop_reasons[i] = out
+            else:
+                parts[i].append(out)
+        active = [i for i, out in zip(active, outcomes) if not isinstance(out, str)]
+        if not active:
             break
-        if x_norms[-1] <= eps_x or y_norms[-1] <= eps_y:
-            stop_reason = "epsilon"
-            break
-        out = step(e, f)
-        if isinstance(out, str):
-            stop_reason = out
-            break
-        e, f, part = out
-        x_norms.append(fro_norm(e))
-        y_norms.append(fro_norm(f))
-        parts.append(part)
+        for i, e_item, f_item in zip(active, e, f):
+            x_norms[i].append(fro_norm(e_item))
+            y_norms[i].append(fro_norm(f_item))
 
-    shared = dict(
-        x_shape=x.shape[1:],
-        y_shape=y.shape[1:],
-        x_mean=x_mean,
-        y_mean=y_mean,
-        x_residual_norms=tuple(x_norms),
-        y_residual_norms=tuple(y_norms),
-        stop_reason=stop_reason,
-    )
+    shared = [
+        dict(
+            x_shape=xs.shape[2:],
+            y_shape=ys.shape[2:],
+            x_mean=x_means[i],
+            y_mean=y_means[i],
+            x_residual_norms=tuple(x_norms[i]),
+            y_residual_norms=tuple(y_norms[i]),
+            stop_reason=stop_reasons[i],
+        )
+        for i in range(len(xs))
+    ]
     return shared, parts
 
 
-def _fit_tucker(x, y, cfg: FitConfig, latent) -> HoplsModel:
-    """The deflation loop with the step every Tucker fit shares.
+def _fit_tucker(xs, ys, cfg: FitConfig, latent) -> list[HoplsModel]:
+    """The deflation loop with the step every Tucker fit shares, on a stack of fits.
 
-    ``latent(e, f)`` gives ``(t, x_loadings, y_loadings)`` or a stop reason;
-    each core is its residual contracted with them, and each residual loses
-    the component's own fitted block.
+    ``latent(e, f)`` gives, per item of the residual stacks, None or a stop
+    reason, and for the items without one the stacks ``(t, x_loadings,
+    y_loadings)`` (or None when no item is left); each core is its residual
+    contracted with them, and each residual loses the component's own
+    fitted block.
     """
 
     def step(e, f):
-        out = "zero_cross_cov" if cross_cov_is_zero(e, f) else latent(e, f)
-        if isinstance(out, str):
-            return out
-        t, ps, qs = out
-        t_col = t[:, None]
-        comp = HoplsComponent(t, ps, qs, x_core=tucker_contract(e, (t_col,) + ps),
-                              y_core=tucker_contract(f, (t_col,) + qs))
-        return e - comp.x_block(), f - comp.y_block(), comp
+        outcomes = ["zero_cross_cov" if zero else None for zero in _cross_cov_zero(e, f)]
+        e, f = _going(outcomes, e, f)
+        if len(e):
+            stops, found = latent(e, f)
+            _fill(outcomes, stops)
+            e, f = _going(stops, e, f)
+        if len(e):
+            t, ps, qs = found
+            x_factors, y_factors = (t[..., None], *ps), (t[..., None], *qs)
+            x_core = _multi_mode_product(e, x_factors, range(1, e.ndim), transpose=True)
+            y_core = _multi_mode_product(f, y_factors, range(1, f.ndim), transpose=True)
+            _fill(outcomes, (
+                HoplsComponent(t[j], tuple(p[j] for p in ps), tuple(q[j] for q in qs),
+                               x_core=x_core[j], y_core=y_core[j])
+                for j in range(len(t))
+            ))
+            e = e - _multi_mode_product(x_core, x_factors, range(1, e.ndim))
+            f = f - _multi_mode_product(y_core, y_factors, range(1, f.ndim))
+        return outcomes, e, f
 
-    shared, components = _deflate(x, y, cfg.n_components, cfg.epsilon, cfg.center, step)
-    return HoplsModel(config=cfg, components=tuple(components), **shared)
+    shared, components = _deflate(xs, ys, cfg.n_components, cfg.epsilon, cfg.center, step)
+    return [HoplsModel(config=cfg, components=tuple(c), **kw) for kw, c in zip(shared, components)]
+
+
+def _decompose(a, b, ranks: tuple[int, ...], hooi_settings: HooiSettings):
+    """Core and factor stacks of the HOOI of every stacked pair. A batch of
+    one goes through :func:`~tensorpls.decomp.hooi` itself, so a wrapper on
+    it (a profiler's, say) sees each single fit's decompositions."""
+    if len(a) > 1:
+        return _hooi(a, b, ranks, hooi_settings)[:2]
+    tuck = hooi(a[0], ranks, hooi_settings, b=b[0])
+    return tuck.core[None], [f[None] for f in tuck.factors]
 
 
 def fit_hopls(
@@ -419,26 +483,35 @@ def fit_hopls(
     C counts as vanished when ||C||^2, computed in sample space as the inner
     product of the two residuals' N x N sample Grams, is exactly zero (or,
     when N^2 exceeds the size of C, when every entry of C is).
+
+    The fit is a batch of one of the lockstep fit that cross-validation
+    runs on its folds.
     """
-    x = astensor(x)
-    y = astensor(y)
-    if x.ndim < 3 or y.ndim < 3:
+    (model,) = _fit_hopls(astensor(x)[None], astensor(y)[None], cfg, hooi_settings)
+    return model
+
+
+def _fit_hopls(xs, ys, cfg: FitConfig, hooi_settings: HooiSettings) -> list[HoplsModel]:
+    """:func:`fit_hopls` of every item of the stacks ``xs`` and ``ys``, in lockstep."""
+    if xs.ndim < 4 or ys.ndim < 4:
         raise ShapeMismatchError(
             "fit_hopls needs order >= 3 on both sides; use fit_hopls2 for a matrix response"
         )
     # validate_ranks also checks that each side has one count per non-sample mode
-    ranks = validate_ranks(cfg.x_ranks, x.shape[1:]) + validate_ranks(cfg.y_ranks, y.shape[1:])
-    n_modes_x = x.ndim - 1
+    ranks = validate_ranks(cfg.x_ranks, xs.shape[2:]) + validate_ranks(cfg.y_ranks, ys.shape[2:])
+    n_modes_x = xs.ndim - 2
 
     def latent(e, f):
-        factors = hooi(e, ranks, hooi_settings, b=f).factors
-        ps, qs = factors[:n_modes_x], factors[n_modes_x:]
-        proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
-        if not np.any(proj):
-            return "degenerate_core"
-        return leading_left_singular_vector(matricize(proj, 0)), ps, qs
+        _, factors = _decompose(e, f, ranks, hooi_settings)
+        proj = _multi_mode_product(e, factors[:n_modes_x], range(2, e.ndim), transpose=True)
+        stops = [None if np.any(p) else "degenerate_core" for p in proj]
+        proj, *factors = _going(stops, proj, *factors)
+        if not len(proj):
+            return stops, None
+        u, _, _ = _truncated_svd(_unfold(proj, 1), 1)
+        return stops, (u[..., 0], factors[:n_modes_x], factors[n_modes_x:])
 
-    return _fit_tucker(x, y, cfg, latent)
+    return _fit_tucker(xs, ys, cfg, latent)
 
 
 def fit_hopls2(
@@ -457,46 +530,59 @@ def fit_hopls2(
     vectorization against the projected residual (pseudoinverse step) and
     is then normalized. The rest is the step :func:`fit_hopls` takes: the
     Y core is the 1 x 1 contraction ``[[d_r]]``, d_r = t_r^T F q_r, and F
-    loses the block ``d_r t_r q_r^T``.
+    loses the block ``d_r t_r q_r^T``. Like :func:`fit_hopls`, a batch of
+    one of the lockstep fit.
     """
-    x = astensor(x)
-    y = as_matrix(y)
-    if x.ndim < 3:
+    (model,) = _fit_hopls2(astensor(x)[None], astensor(y)[None], cfg, hooi_settings)
+    return model
+
+
+def _fit_hopls2(xs, ys, cfg: FitConfig, hooi_settings: HooiSettings) -> list[HoplsModel]:
+    """:func:`fit_hopls2` of every item of the stacks ``xs`` and ``ys``, in lockstep."""
+    if ys.ndim != 3:
+        raise ShapeMismatchError(f"expected a matrix, got order {ys.ndim - 1}")
+    if xs.ndim < 4:
         raise ShapeMismatchError("fit_hopls2 needs an order >= 3 predictor")
-    ranks = (1,) + validate_ranks(cfg.x_ranks, x.shape[1:])
+    ranks = (1,) + validate_ranks(cfg.x_ranks, xs.shape[2:])
 
     def latent(e, f):
-        tuck = hooi(f, ranks, hooi_settings, b=e)
-        ps = tuck.factors[1:]
-        c_core_row = matricize(tuck.core, 0)
-        if not np.any(c_core_row):
-            return "degenerate_core"
-        proj = multi_mode_product(e, ps, range(1, e.ndim), transpose=True)
-        t_raw = matricize(proj, 0) @ _row_pinv(c_core_row)
-        norm_t = float(np.linalg.norm(t_raw))
-        if norm_t == 0.0:
-            return "degenerate_core"
-        return (t_raw / norm_t).ravel(), ps, tuck.factors[:1]
+        core, factors = _decompose(f, e, ranks, hooi_settings)
+        c_core_rows = _unfold(core, 1)
+        stops = [None if np.any(row) else "degenerate_core" for row in c_core_rows]
+        e, c_core_rows, *factors = _going(stops, e, c_core_rows, *factors)
+        if not len(e):
+            return stops, None
+        proj = _multi_mode_product(e, factors[1:], range(2, e.ndim), transpose=True)
+        t_raw = _unfold(proj, 1) @ _row_pinv(c_core_rows)
+        norms = [float(np.linalg.norm(t)) for t in t_raw]
+        zero = ["degenerate_core" if norm == 0.0 else None for norm in norms]
+        _fill(stops, zero)
+        t_raw, *factors = _going(zero, t_raw, *factors)
+        if not len(t_raw):
+            return stops, None
+        norms = np.array([norm for norm in norms if norm != 0.0])
+        return stops, (t_raw[..., 0] / norms[:, None], factors[1:], factors[:1])
 
-    return _fit_tucker(x, y, cfg, latent)
+    return _fit_tucker(xs, ys, cfg, latent)
 
 
 def _nipals_step(e: np.ndarray, f: np.ndarray):
-    """One NIPALS component of the residuals' row-major views: (e, f, (w, p, q, d))."""
-    e, f = e.reshape(len(e), -1), f.reshape(len(f), -1)
+    """One NIPALS component of the row-major views of a batch of one's
+    residuals: ``([(w, p, q, d)], e, f)`` or ``([stop reason], ...)``."""
+    e, f = e[0].reshape(e.shape[1], -1), f[0].reshape(f.shape[1], -1)
     u = f[:, int(np.argmax((f * f).sum(axis=0)))]
     t = np.zeros(e.shape[0])
     for _ in range(NIPALS_MAX_ITER):
         w = e.T @ u
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return "degenerate_core"
+            return ["degenerate_core"], e[:0], f[:0]
         w = w / nw
         t_new = e @ w
         q = f.T @ t_new
         nq = np.linalg.norm(q)
         if nq == 0.0:
-            return "degenerate_core"
+            return ["degenerate_core"], e[:0], f[:0]
         q = q / nq
         u = f @ q
         moved = np.linalg.norm(t_new - t)
@@ -505,10 +591,10 @@ def _nipals_step(e: np.ndarray, f: np.ndarray):
             break
     tt = float(t @ t)
     if tt == 0.0:
-        return "degenerate_core"
+        return ["degenerate_core"], e[:0], f[:0]
     p = e.T @ t / tt
     d = float(u @ t) / tt
-    return e - np.outer(t, p), f - d * np.outer(t, q), (w, p, q, d)
+    return [(w, p, q, d)], (e - np.outer(t, p))[None], (f - d * np.outer(t, q))[None]
 
 
 def fit_pls_nipals(
@@ -533,7 +619,8 @@ def fit_pls_nipals(
     Fewer than ``n_components`` may be extractable; the model records the
     achieved count and why it stopped, under the same rules and the same
     ``epsilon`` as :func:`fit_hopls` (``'degenerate_core'`` when the weight
-    or loading vanishes).
+    or loading vanishes). It runs the shared deflation loop as a batch of
+    one.
     """
     x = astensor(x)
     y = astensor(y)
@@ -549,7 +636,7 @@ def fit_pls_nipals(
             f"n_components={n_components} out of range for X of shape {x.shape}"
         )
 
-    shared, parts = _deflate(x, y, n_components, epsilon, center, _nipals_step)
+    (shared,), (parts,) = _deflate(x[None], y[None], n_components, epsilon, center, _nipals_step)
     ws, ps, qs, ds = zip(*parts) if parts else ((), (), (), ())
     return PlsModel(
         x_weights=_columns(ws, n_x_feat),
@@ -694,3 +781,13 @@ def algorithm_of(model) -> Algorithm:
         if type(model) is algo.model_type:
             return algorithm(algo.tag, len(model.y_shape) + 1)
     raise TypeError(f"not a fitted model: {type(model).__name__}")
+
+
+def _fit_stack(algo: Algorithm, xs, ys, cfg: FitConfig, hooi_settings: HooiSettings) -> list:
+    """``algo``'s models of one config, one per item of the stacks ``xs`` and
+    ``ys`` (training sets of one size): the Tucker fits run the stack in
+    lockstep, PLS one item at a time."""
+    lockstep = {"fit_hopls": _fit_hopls, "fit_hopls2": _fit_hopls2}.get(algo.fit_name)
+    if lockstep is None:
+        return [algo.fit(x, y, cfg, hooi_settings) for x, y in zip(xs, ys)]
+    return lockstep(xs, ys, cfg, hooi_settings)

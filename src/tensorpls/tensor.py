@@ -21,9 +21,14 @@ fastest, and there the Kronecker factors run forwards:
 g.reshape(len(g), -1) @ kron_all([A2, ..., AN]).T``. The operators of
 :mod:`tensorpls.regression` index their rows in that row-major order.
 
-Each operation has one body: the Tucker products are
+Each operation has one body, written for a stack of tensors that share a
+shape (a leading batch axis, so that HOOI and the fits can run several
+folds in lockstep). The public functions check their operands and call
+that body on a stack of one: the Tucker products are
 :func:`multi_mode_product` over every mode, and :func:`cross_cov_mode1`
-checks its operands and runs the mode-0 contraction the HOOI sweeps use.
+runs the mode-0 contraction the HOOI sweeps use. Per item, a stack's
+products go through the same BLAS calls on the same memory layout as a
+single tensor's, so an item's result has the bits of its own call.
 """
 
 from __future__ import annotations
@@ -110,9 +115,26 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t)
     _check_mode(t, mode)
-    # a plain transpose (cheaper than np.moveaxis on the HOOI hot path)
-    axes = (mode,) + tuple(range(mode)) + tuple(range(mode + 1, t.ndim))
-    return t.transpose(axes).reshape((t.shape[mode], -1), order="F")
+    return _unfold(t[None], mode + 1)[0]
+
+
+def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`matricize` of every item of the stack ``t`` along its ``axis``
+    (item mode ``axis - 1``), as a ``(len(t), t.shape[axis], -1)`` stack.
+
+    Per C-order item the layout is the one an F-order reshape of the item
+    gives: a view when at most one remaining mode is longer than 1, else an
+    F-order copy, here each item's C-order (rest reversed, I) block with
+    its last two axes swapped (an F-order reshape of the whole stack would
+    interleave the items, and matmul would leave BLAS).
+    """
+    rest = tuple(range(1, axis)) + tuple(range(axis + 1, t.ndim))
+    long = sum(t.shape[a] > 1 for a in rest)
+    if long < 2 and long + (t.shape[axis] > 1) > 0:
+        view = t.transpose((0, axis) + rest)
+        return view.reshape((len(t), t.shape[axis], -1), order="F")
+    block = np.ascontiguousarray(t.transpose((0,) + rest[::-1] + (axis,)))
+    return block.reshape((len(t), -1, t.shape[axis])).swapaxes(1, 2)
 
 
 def fold(m: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
@@ -140,22 +162,34 @@ def mode_n_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t)
     a = np.asarray(a)
-    _check_mode(t, mode)
+    _check_operand(t.shape, a, mode)
+    return _mode_product(np.ascontiguousarray(t)[None], a, mode + 1)[0]
+
+
+def _check_operand(shape: tuple[int, ...], a: np.ndarray, mode: int) -> None:
+    if not 0 <= mode < len(shape):
+        raise ShapeMismatchError(
+            f"mode {mode} out of range for order-{len(shape)} tensor"
+        )
     if a.ndim != 2:
         raise ShapeMismatchError("mode_n_product expects a matrix operand")
-    if a.shape[1] != t.shape[mode]:
+    if a.shape[1] != shape[mode]:
         raise ShapeMismatchError(
-            f"matrix columns {a.shape[1]} != tensor dim {t.shape[mode]} at mode {mode}"
+            f"matrix columns {a.shape[1]} != tensor dim {shape[mode]} at mode {mode}"
         )
-    out_shape = t.shape[:mode] + (a.shape[0],) + t.shape[mode + 1 :]
-    t = np.ascontiguousarray(t)
-    if mode == 0:
-        return (a @ t.reshape(t.shape[0], -1)).reshape(out_shape)
-    if mode == t.ndim - 1:
-        return (t.reshape(-1, t.shape[-1]) @ a.T).reshape(out_shape)
-    pre = math.prod(t.shape[:mode])
-    post = math.prod(t.shape[mode + 1 :])
-    batched = a @ t.reshape(pre, t.shape[mode], post)
+
+
+def _mode_product(t: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`mode_n_product` of every item of the C-order stack ``t`` along
+    its ``axis``, unchecked. ``a`` is one (J, I) matrix for every item or a
+    (len(t), J, I) stack of them."""
+    out_shape = t.shape[:axis] + (a.shape[-2],) + t.shape[axis + 1 :]
+    if axis == 1:
+        return (a @ t.reshape(len(t), t.shape[1], -1)).reshape(out_shape)
+    if axis == t.ndim - 1:
+        return (t.reshape(len(t), -1, t.shape[-1]) @ a.swapaxes(-1, -2)).reshape(out_shape)
+    pre = math.prod(t.shape[1:axis])
+    batched = a[..., None, :, :] @ t.reshape(len(t), pre, t.shape[axis], -1)
     return batched.reshape(out_shape)
 
 
@@ -166,10 +200,24 @@ def multi_mode_product(
     transpose: bool = False,
 ) -> np.ndarray:
     """Apply :func:`mode_n_product` for several (matrix, mode) pairs in turn."""
-    out = np.asarray(t)
+    t = np.asarray(t)
+    shape = list(t.shape)
+    operands = []
     for a, mode in zip(matrices, modes):
-        out = mode_n_product(out, np.asarray(a).T if transpose else a, mode)
-    return out
+        a = np.asarray(a).T if transpose else np.asarray(a)
+        _check_operand(tuple(shape), a, mode)
+        shape[mode] = a.shape[0]
+        operands.append(a)
+    axes = [mode + 1 for mode in modes]
+    return _multi_mode_product(np.ascontiguousarray(t)[None], operands, axes)[0]
+
+
+def _multi_mode_product(t, matrices, axes, transpose: bool = False) -> np.ndarray:
+    """:func:`_mode_product` for several (matrix, axis) pairs in turn; with
+    ``transpose`` each matrix (or stack) enters transposed."""
+    for a, axis in zip(matrices, axes):
+        t = _mode_product(t, a.swapaxes(-1, -2) if transpose else a, axis)
+    return t
 
 
 def fro_norm(a: np.ndarray) -> float:
@@ -189,13 +237,15 @@ def cross_cov_mode1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"first-mode sizes differ: {x.shape[0]} vs {y.shape[0]}"
         )
-    return _contract_mode0(x, y)
+    return _contract_samples(x[None], y[None])[0]
 
 
-def _contract_mode0(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y>_1 without checks: the two row-major views multiplied over mode 0."""
-    n = x.shape[0]
-    return (x.reshape(n, -1).T @ y.reshape(n, -1)).reshape(x.shape[1:] + y.shape[1:])
+def _contract_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_i, y_i>_1 for every item of two stacks, unchecked: the items'
+    row-major views multiplied over their sample axis (axis 1)."""
+    b, n = x.shape[:2]
+    flat = x.reshape(b, n, -1).swapaxes(1, 2) @ y.reshape(b, n, -1)
+    return flat.reshape(x.shape[:1] + x.shape[2:] + y.shape[2:])
 
 
 def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:

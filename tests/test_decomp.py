@@ -20,7 +20,7 @@ from tensorpls import (
     truncated_svd,
     tucker_assemble,
 )
-from tensorpls.decomp import validate_ranks
+from tensorpls.decomp import _hooi, validate_ranks
 
 
 def rand_orth(rng, n, k):
@@ -259,6 +259,19 @@ class TestHooi:
         with pytest.raises(ValueError):
             HooiSettings(rel_tol=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": float("nan")}, {"rel_tol": -1e-8}, {"max_iters": 2.5}]
+    )
+    def test_settings_no_sweep_could_honour_are_rejected(self, kwargs):
+        # a NaN tolerance used to run every call to the cap unconverged, and a
+        # fractional count failed with a TypeError inside hooi
+        with pytest.raises(ValueError):
+            HooiSettings(**kwargs)
+
+    def test_settings_keep_counts_as_python_ints(self):
+        settings = HooiSettings(max_iters=np.int64(3))
+        assert type(settings.max_iters) is int and settings.max_iters == 3
+
 
 def well_posed(n, x_dims, y_dims, ranks):
     """Whether every HOOI factor of C = <e, f>_1 is unique (up to sign).
@@ -346,3 +359,90 @@ def test_factored_pair_matches_dense_cross_covariance(problem):
 def test_pair_needs_a_shared_sample_mode():
     with pytest.raises(ShapeMismatchError):
         hooi(np.ones((3, 2)), (1,), b=np.ones((4, 2)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def pair_stack(seed, count, a_dims, b_dims, ranks, max_iters, rel_tol, exact_first=False):
+    """``count`` random pairs with N samples stacked along a leading axis
+    (``b_dims`` None: plain tensors of shape ``a_dims``, each the one-sample
+    pair (t[None], ones(1))). With ``exact_first`` the first pair's C has
+    multilinear rank ``ranks``, so its HOSVD is already the optimum and it
+    converges on the first sweep while the others sweep on."""
+    rng = np.random.default_rng(seed)
+    if b_dims is None:
+        a = rng.standard_normal((count, 1) + tuple(a_dims))
+        b = np.ones((count, 1))
+    else:
+        a = rng.standard_normal((count,) + tuple(a_dims))
+        b = rng.standard_normal((count,) + tuple(b_dims))
+    if exact_first:
+        sides = ((a, 0),) if b_dims is None else ((a, 0), (b, a.ndim - 2))
+        for side, first in sides:
+            dims = side.shape[2:]
+            core = rng.standard_normal(side.shape[1:2] + tuple(ranks[first:first + len(dims)]))
+            mats = [np.eye(side.shape[1])] + [
+                rng.standard_normal((d, r)) for d, r in zip(dims, ranks[first:])
+            ]
+            side[0] = tucker_assemble(core, mats)
+    return a, b, tuple(ranks), HooiSettings(max_iters, rel_tol)
+
+
+@st.composite
+def pair_stacks(draw):
+    """Stacks of 2-4 pairs (or plain tensors) with N in 1..9, sides of order
+    1-3 and 1-2, dims in 1..5, any ranks, 1-6 sweeps and a loose to tight
+    tolerance."""
+    count = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 9))
+    a_dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    b_dims = draw(st.none() | st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    dims = a_dims + (b_dims or [])
+    ranks = [draw(st.integers(1, d)) for d in dims]
+    return pair_stack(
+        draw(st.integers(0, 2**32 - 1)),
+        count,
+        ([n] + a_dims) if b_dims is not None else a_dims,
+        ([n] + b_dims) if b_dims is not None else None,
+        ranks,
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from([1e-2, 1e-6, 1e-12])),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=pair_stacks())
+# sample-space Grams: N^2 below the size of C, every unfolding wide, and a
+# sweep's mode-0 unfolding wide enough for its Gram eigendecomposition
+@example(problem=pair_stack(1, 3, (3, 2, 5, 5), (3, 4), (2, 3, 3, 2), 6, 1e-12))
+# C formed: tall data, N^2 above the size of C
+@example(problem=pair_stack(2, 3, (30, 2, 2), (30, 2), (1, 2, 1), 6, 1e-12))
+# a narrow unfolding (mode 0, fewer than 4 I^2 entries): its SVD
+@example(problem=pair_stack(3, 2, (2, 6), (2, 2), (3, 2), 6, 1e-12))
+# ranks above a sweep unfolding's columns: the padded orthonormal complement
+@example(problem=pair_stack(4, 3, (4, 3, 2), (4, 2), (3, 1, 1), 6, 1e-12))
+# plain tensors
+@example(problem=pair_stack(5, 3, (5, 4, 3), None, (2, 2, 2), 6, 1e-12))
+# the first item converges on the first sweep, the others stop at the cap
+@example(problem=pair_stack(6, 4, (6, 4, 5), (6, 3), (2, 2, 2), 4, 1e-12, exact_first=True))
+def test_lockstep_hooi_has_the_bits_of_each_single_call(problem):
+    """The lockstep HOOI of a stack of pairs gives every item the core,
+    factors, objective history and converged flag of its own hooi call,
+    bit for bit."""
+    a, b, ranks, hooi_settings = problem
+    core, factors, history, converged = _hooi(a, b, ranks, hooi_settings)
+    for i in range(len(a)):
+        if b.ndim == 2:
+            one = hooi(a[i, 0], ranks, hooi_settings)
+        else:
+            one = hooi(a[i], ranks, hooi_settings, b=b[i])
+        assert same_bits(core[i], one.core)
+        assert len(factors) == len(one.factors)
+        assert all(same_bits(f[i], g) for f, g in zip(factors, one.factors))
+        assert same_bits(history[i], one.objective_history)
+        assert converged[i] == one.converged
+

@@ -24,9 +24,33 @@ from tensorpls import (
     rmsep,
 )
 from tensorpls.evaluate import _derive_seed, _fold_slices, _split
-from tensorpls.regression import ALGORITHMS, algorithm
+from tensorpls.regression import ALGORITHMS, _fit_stack, algorithm
 
 FAST = HooiSettings(max_iters=15, rel_tol=1e-6)
+
+
+def _cv_problem(problem: str, matrix_y: bool):
+    """X and Y for the fold tests: the 2m (or, for a matrix response, mr)
+    case at 5 dB, the same kind with 11 samples, or noiseless rank-2 data
+    whose second latent column is nonzero on samples 0 and 1 only."""
+    case = "mr" if matrix_y else "2m"
+    if problem == "generated":
+        data = generate(SynthSpec.from_case(case, 5.0, seed=4))
+        return data.x, data.y
+    if problem == "n11":
+        spec = SynthSpec.from_case(case, 5.0, seed=4)
+        spec = replace(spec, x_shape=(11,) + spec.x_shape[1:], y_shape=(11,) + spec.y_shape[1:])
+        data = generate(spec)
+        return data.x, data.y
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((10, 2))
+    t[2:, 1] = 0.0
+    if matrix_y:
+        x = np.einsum("nr,ir,jr,kr->nijk", t, *(rng.standard_normal((5, 2)) for _ in range(3)))
+        return x, t @ rng.standard_normal((2, 2))
+    x = np.einsum("nr,ir,jr->nij", t, rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
+    y = np.einsum("nr,ir,jr->nij", t, rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
+    return x, y
 
 
 class TestMetrics:
@@ -220,23 +244,57 @@ class TestKfoldCv:
         seen = [i for sl in slices for i in range(sl.start, sl.stop)]
         assert seen == list(range(11))
 
+    @pytest.mark.parametrize("problem", ["generated", "n11", "fold_rank"])
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_fold_q2_is_q2_of_the_prediction(self, name):
-        # every fold's Q² is that of the model's own prediction, bit for bit;
-        # hopls2 takes a matrix response, every other entry the tensor one
-        case = "mr" if name == "hopls2" else "2m"
-        data = generate(SynthSpec.from_case(case, 5.0, seed=4))
-        algo = algorithm(name, data.y.ndim)
-        report = kfold_cv(data.x, data.y, 5, name, 4, 3, hooi_settings=FAST)
+    def test_fold_q2_is_q2_of_the_prediction(self, name, problem):
+        # every fold's Q² is that of a one-at-a-time fit's own prediction, bit
+        # for bit, and the lockstep fit of each fold stops where and why that
+        # fit stops, with its residual norms; hopls2 takes a matrix response,
+        # every other entry the tensor one. "n11": 11 samples in 5 folds, so
+        # training sets of 9 and 8 samples, fitted as two stacks. "fold_rank":
+        # noiseless data whose training sets without samples 0 and 1 have rank
+        # 1, so at R = 4 fold 0 stops on epsilon after one component while the
+        # others go on (to 4 components at lambda = 1, 2 at lambda >= 2).
+        x, y = _cv_problem(problem, matrix_y=name == "hopls2")
+        algo = algorithm(name, y.ndim)
+        report = kfold_cv(x, y, 5, name, 4, 3, hooi_settings=FAST)
+        splits = [(_split(x, sl), _split(y, sl)) for sl in _fold_slices(len(x), 5)]
         for lam in {lam for _, lam in report.grid}:
             rs = [r for r, l in report.grid if l == lam]
-            cfg = algo.config(max(rs), lam, data.x.ndim, data.y.ndim)
-            for f, sl in enumerate(_fold_slices(data.x.shape[0], 5)):
-                (train_x, test_x), (train_y, test_y) = _split(data.x, sl), _split(data.y, sl)
-                model = algo.fit(train_x, train_y, cfg, FAST)
+            cfg = algo.config(max(rs), lam, x.ndim, y.ndim)
+            serial = [algo.fit(train_x, train_y, cfg, FAST) for (train_x, _), (train_y, _) in splits]
+            for size in {len(train_x) for (train_x, _), _ in splits}:
+                ks = [k for k, ((train_x, _), _) in enumerate(splits) if len(train_x) == size]
+                xs = np.stack([splits[k][0][0] for k in ks])
+                ys = np.stack([splits[k][1][0] for k in ks])
+                for k, model in zip(ks, _fit_stack(algo, xs, ys, cfg, FAST)):
+                    assert model.stop_reason == serial[k].stop_reason
+                    assert model.x_residual_norms == serial[k].x_residual_norms
+                    assert model.y_residual_norms == serial[k].y_residual_norms
+            for f, ((_, test_x), (_, test_y)) in enumerate(splits):
                 for r in rs:
-                    want = q_squared(test_y, algo.predict(model, test_x, r))
+                    want = q_squared(test_y, algo.predict(serial[f], test_x, r))
                     assert report.per_fold[(r, lam)][f] == want
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"folds": 2.5}, DegenerateDataError),
+            ({"r_max": 2.5}, ValueError),
+            ({"lambda_max": 2.5}, ValueError),
+        ],
+    )
+    def test_fractional_counts_rejected(self, kwargs, error):
+        # each used to fail with a TypeError from range()
+        data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
+        args = {"folds": 5, "r_max": 2, "lambda_max": 2} | kwargs
+        with pytest.raises(error):
+            kfold_cv(data.x, data.y, algo="hopls", hooi_settings=FAST, **args)
+
+    def test_numpy_counts_accepted(self):
+        data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
+        report = kfold_cv(data.x, data.y, np.int64(5), "pls", np.int64(2), np.int64(1))
+        assert report.folds == 5 and type(report.folds) is int
 
     def test_too_few_samples(self):
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))

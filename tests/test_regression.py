@@ -11,6 +11,7 @@ from oracles import pls_predict_sequential, predict_by_components, rank_one_bloc
 from tensorpls import (
     DegenerateDataError,
     FitConfig,
+    HooiSettings,
     RankError,
     ShapeMismatchError,
     center_mode1,
@@ -25,7 +26,7 @@ from tensorpls import (
     q_squared,
     tucker_assemble,
 )
-from tensorpls.regression import ALGORITHMS, algorithm
+from tensorpls.regression import ALGORITHMS, _fit_stack, algorithm
 
 
 def assert_column_orthonormal(f, tol=1e-10):
@@ -626,3 +627,36 @@ def test_tall_fit_builds_no_sample_gram():
     y = rng.standard_normal((4000, 3, 3))
     _, peak = peak_bytes(lambda: fit_hopls(x, y, FitConfig(2, (2, 2), (2, 2))))
     assert peak < 4 * (x.nbytes + y.nbytes)
+
+
+@pytest.mark.parametrize("name", ["hopls", "hopls2", "npls"])
+def test_lockstep_fits_are_the_single_fits(name):
+    # a stack of three training sets fitted in lockstep: an ordinary one, one
+    # whose Y is constant (its centred residual is zero, so it stops with
+    # 'zero_cross_cov' before the first step) and a noiseless rank-1 one (it
+    # stops with 'epsilon' after one component); each model has the bits of
+    # its own single fit
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((3, 12, 4, 5))
+    y = rng.standard_normal((3, 12, 3) if name == "hopls2" else (3, 12, 3, 2))
+    y[1] = 2.0
+    t = rng.standard_normal(12)
+    x[2] = np.multiply.outer(t, rng.standard_normal((4, 5)))
+    y[2] = np.multiply.outer(t, rng.standard_normal(y.shape[2:]))
+    algo = algorithm(name, y.ndim - 1)
+    cfg = algo.config(3, 1 if name == "npls" else 2, x.ndim - 1, y.ndim - 1)
+    models = _fit_stack(algo, x, y, cfg, HooiSettings(max_iters=10, rel_tol=1e-6))
+    singles = [algo.fit(x[i], y[i], cfg, HooiSettings(max_iters=10, rel_tol=1e-6)) for i in range(3)]
+    assert [m.stop_reason for m in models] == ["completed", "zero_cross_cov", "epsilon"]
+    for model, one in zip(models, singles):
+        assert model.stop_reason == one.stop_reason
+        assert model.x_residual_norms == one.x_residual_norms
+        assert model.y_residual_norms == one.y_residual_norms
+        assert model.n_components == one.n_components
+        for c, d in zip(model.components, one.components):
+            for u, v in zip(
+                (c.t, c.x_core, c.y_core, *c.x_loadings, *c.y_loadings),
+                (d.t, d.x_core, d.y_core, *d.x_loadings, *d.y_loadings),
+            ):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+        assert algo.predict(model, x[0]).tobytes() == algo.predict(one, x[0]).tobytes()
