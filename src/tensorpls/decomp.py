@@ -371,8 +371,7 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
     """
     a, b, factors, projected = _start(a, b, ranks)
     n_a = a.ndim - 2
-    core = _contract_samples(*projected)
-    history = [[fro_norm(c) ** 2] for c in core]
+    history = [[fro_norm(c) ** 2] for c in _contract_samples(*projected)]
     # full multilinear rank: any orthonormal full factors are exact, so the
     # initialization is already optimal and no sweep can improve it
     full = ranks == a.shape[2:] + b.shape[2:]
@@ -389,10 +388,12 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
                 proj = done
                 for m in range(n + 1, x.ndim - 2):
                     proj = _mode_product(proj, factors[first + m].swapaxes(1, 2), m + 2)
-                other = projected[1 - i]
-                z = _contract_samples(proj, other) if i == 0 else _contract_samples(other, proj)
+                # C projected on every other mode, passed on unbound: its
+                # unfolding is mostly a copy, and C's size times the stack
+                # would otherwise be held twice
+                pair = (proj, projected[1]) if i == 0 else (projected[0], proj)
                 factors[first + n], s = _left_singular_factor(
-                    _unfold(z, first + n + 1), ranks[first + n]
+                    _unfold(_contract_samples(*pair), first + n + 1), ranks[first + n]
                 )
                 done = _mode_product(done, factors[first + n].swapaxes(1, 2), n + 2)
             # a side's projection is replaced as soon as its factors change:
@@ -410,7 +411,7 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
         if len(stop) == len(active):
             break
         if stop:
-            going = np.setdiff1d(np.arange(len(active)), stop)
+            going = [j for j in range(len(active)) if j not in stop]
             finished.append((active[stop], _contract_samples(*(p[stop] for p in projected)),
                              [f[stop] for f in factors]))
             a, b, active = a[going], b[going], active[going]
@@ -419,8 +420,8 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
     if not finished:
         return _contract_samples(*projected), factors, history, converged
     finished.append((active, _contract_samples(*projected), factors))
-    core = np.empty(core.shape)
-    factors = [np.empty((len(core),) + f.shape[1:]) for f in factors]
+    core = np.empty((len(history),) + finished[0][1].shape[1:])
+    factors = [np.empty((len(history),) + f.shape[1:]) for f in factors]
     for items, item_core, item_factors in finished:
         core[items] = item_core
         for out, f in zip(factors, item_factors):
