@@ -431,8 +431,10 @@ def kfold_cv(
     scored as ``q_squared`` of the model's own prediction from its leading r
     components. The folds with one training size are fitted together, as
     one lockstep fit of the stacked training sets (PLS: one at a time); each
-    fold's model has the bits of its own fit. ``algo`` names an entry of the algorithm table; on a matrix
-    response the tensor methods run their matrix-response variant.
+    fold's model has the bits of its own fit. ``algo`` names an entry of the
+    algorithm table; on a matrix response the tensor methods run their
+    matrix-response variant. ``folds``, ``r_max`` and ``lambda_max`` are
+    whole numbers.
     """
     x = astensor(x)
     y = astensor(y)

@@ -201,13 +201,11 @@ def multi_mode_product(
 ) -> np.ndarray:
     """Apply :func:`mode_n_product` for several (matrix, mode) pairs in turn."""
     t = np.asarray(t)
+    operands = [np.asarray(a).T if transpose else np.asarray(a) for a in matrices]
     shape = list(t.shape)
-    operands = []
-    for a, mode in zip(matrices, modes):
-        a = np.asarray(a).T if transpose else np.asarray(a)
+    for a, mode in zip(operands, modes):
         _check_operand(tuple(shape), a, mode)
         shape[mode] = a.shape[0]
-        operands.append(a)
     axes = [mode + 1 for mode in modes]
     return _multi_mode_product(np.ascontiguousarray(t)[None], operands, axes)[0]
 

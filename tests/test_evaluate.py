@@ -244,9 +244,8 @@ class TestKfoldCv:
         seen = [i for sl in slices for i in range(sl.start, sl.stop)]
         assert seen == list(range(11))
 
-    @pytest.mark.parametrize("problem", ["generated", "n11", "fold_rank"])
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_fold_q2_is_q2_of_the_prediction(self, name, problem):
+    def test_fold_q2_is_q2_of_the_prediction(self, name):
         # every fold's Q² is that of a one-at-a-time fit's own prediction, bit
         # for bit, and the lockstep fit of each fold stops where and why that
         # fit stops, with its residual norms; hopls2 takes a matrix response,
@@ -255,26 +254,27 @@ class TestKfoldCv:
         # noiseless data whose training sets without samples 0 and 1 have rank
         # 1, so at R = 4 fold 0 stops on epsilon after one component while the
         # others go on (to 4 components at lambda = 1, 2 at lambda >= 2).
-        x, y = _cv_problem(problem, matrix_y=name == "hopls2")
-        algo = algorithm(name, y.ndim)
-        report = kfold_cv(x, y, 5, name, 4, 3, hooi_settings=FAST)
-        splits = [(_split(x, sl), _split(y, sl)) for sl in _fold_slices(len(x), 5)]
-        for lam in {lam for _, lam in report.grid}:
-            rs = [r for r, l in report.grid if l == lam]
-            cfg = algo.config(max(rs), lam, x.ndim, y.ndim)
-            serial = [algo.fit(train_x, train_y, cfg, FAST) for (train_x, _), (train_y, _) in splits]
-            for size in {len(train_x) for (train_x, _), _ in splits}:
-                ks = [k for k, ((train_x, _), _) in enumerate(splits) if len(train_x) == size]
-                xs = np.stack([splits[k][0][0] for k in ks])
-                ys = np.stack([splits[k][1][0] for k in ks])
-                for k, model in zip(ks, _fit_stack(algo, xs, ys, cfg, FAST)):
-                    assert model.stop_reason == serial[k].stop_reason
-                    assert model.x_residual_norms == serial[k].x_residual_norms
-                    assert model.y_residual_norms == serial[k].y_residual_norms
-            for f, ((_, test_x), (_, test_y)) in enumerate(splits):
-                for r in rs:
-                    want = q_squared(test_y, algo.predict(serial[f], test_x, r))
-                    assert report.per_fold[(r, lam)][f] == want
+        for problem in ("generated", "n11", "fold_rank"):
+            x, y = _cv_problem(problem, matrix_y=name == "hopls2")
+            algo = algorithm(name, y.ndim)
+            report = kfold_cv(x, y, 5, name, 4, 3, hooi_settings=FAST)
+            splits = [(_split(x, sl), _split(y, sl)) for sl in _fold_slices(len(x), 5)]
+            for lam in {lam for _, lam in report.grid}:
+                rs = [r for r, l in report.grid if l == lam]
+                cfg = algo.config(max(rs), lam, x.ndim, y.ndim)
+                serial = [algo.fit(tx, ty, cfg, FAST) for (tx, _), (ty, _) in splits]
+                for size in {len(tx) for (tx, _), _ in splits}:
+                    ks = [k for k, ((tx, _), _) in enumerate(splits) if len(tx) == size]
+                    xs = np.stack([splits[k][0][0] for k in ks])
+                    ys = np.stack([splits[k][1][0] for k in ks])
+                    for k, model in zip(ks, _fit_stack(algo, xs, ys, cfg, FAST)):
+                        assert model.stop_reason == serial[k].stop_reason
+                        assert model.x_residual_norms == serial[k].x_residual_norms
+                        assert model.y_residual_norms == serial[k].y_residual_norms
+                for f, ((_, test_x), (_, test_y)) in enumerate(splits):
+                    for r in rs:
+                        want = q_squared(test_y, algo.predict(serial[f], test_x, r))
+                        assert report.per_fold[(r, lam)][f] == want
 
     @pytest.mark.parametrize(
         "kwargs, error",
