@@ -2,11 +2,12 @@
 
 A single deterministic sign convention runs through everything here: the
 largest-magnitude entry of each left singular vector is made positive, ties
-broken by lowest row index (one helper, :func:`_fix_signs`, for every
-factor). That makes all downstream factor matrices, cores and fitted models
-bit-reproducible. Factor extraction inside HOSVD/HOOI switches to a Gram
-eigendecomposition for unfoldings much wider than tall (same vectors, much
-cheaper); :func:`truncated_svd` itself is always the plain LAPACK route.
+broken by lowest row index (one rule, :func:`_flips`, for every factor),
+which makes all downstream factors, cores and fitted models
+bit-reproducible. HOSVD and HOOI fix signs once per decomposition, on exit.
+Their factors come from a Gram eigendecomposition for every unfolding at
+least as wide as tall (same vectors, cheaper) and from the SVD for a taller
+one; :func:`truncated_svd` itself is always the plain LAPACK route.
 
 :func:`hosvd` and :func:`hooi` decompose either a tensor or the
 cross-covariance C = <a, b>_1 of a pair that shares the sample mode 0 (the
@@ -45,7 +46,6 @@ __all__ = [
     "truncated_svd",
     "leading_left_singular_vector",
     "validate_ranks",
-    "cross_cov_is_zero",
     "hosvd",
     "hooi",
 ]
@@ -92,17 +92,13 @@ class TuckerFactors:
 
 
 
-def _fix_signs(u: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Largest-magnitude entry of each left singular vector made positive;
-    # argmax already breaks ties by lowest index. Each column of ``u`` and
-    # of ``others`` (or of each item of their stacks) is multiplied by that
-    # column's +1 or -1 (-1.0 negates exactly), always: every factor comes
-    # back as a fresh array, whatever LAPACK's layout, so the products it
-    # enters take one BLAS path.
+def _flips(u: np.ndarray) -> np.ndarray:
+    """Per column of ``u`` (or of each item of its stack), the +1 or -1 that
+    makes the column's largest-magnitude entry positive, shaped (..., 1, k).
+    argmax already breaks ties by lowest index; -1.0 negates exactly."""
     items = (np.arange(len(u))[:, None],) if u.ndim == 3 else ()
     lead = u[(*items, np.abs(u).argmax(axis=-2), np.arange(u.shape[-1]))]
-    flips = np.where(lead < 0, -1.0, 1.0)[..., None, :]
-    return tuple(m * flips for m in (u, *others))
+    return np.where(lead < 0, -1.0, 1.0)[..., None, :]
 
 
 def _lapack(routine, m: np.ndarray, **kwargs):
@@ -140,8 +136,8 @@ def truncated_svd(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
 def _truncated_svd(m: np.ndarray, k: int):
     """:func:`truncated_svd` of a matrix or of each item of a stack, unchecked."""
     u, s, vh = _lapack(np.linalg.svd, m, full_matrices=False)
-    u, v = _fix_signs(u[..., :k], vh[..., :k, :].swapaxes(-1, -2))
-    return u, s[..., :k].copy(), v
+    flips = _flips(u[..., :k])
+    return u[..., :k] * flips, s[..., :k].copy(), vh[..., :k, :].swapaxes(-1, -2) * flips
 
 
 def leading_left_singular_vector(m: np.ndarray) -> np.ndarray:
@@ -177,34 +173,28 @@ def _orthonormal_complement(u: np.ndarray, extra: int) -> np.ndarray:
     return comp[..., :extra]
 
 
-# Unfoldings at least this many times wider than tall (columns >= 4 rows) get
-# their left singular vectors from the Gram eigendecomposition: the same
-# vectors, much cheaper. A narrower unfolding of a cross-covariance has fewer
-# than 4 * I_n^2 entries, so the HOSVD may form it and take its SVD.
-_WIDE_FACTOR = 4
-
-
 def _gram_factor(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading k eigenvectors of a stack of Gram matrices ``m m^T`` (the
-    leading left singular vectors of ``m``) with the singular values
-    sqrt(eigenvalue)."""
+    leading left singular vectors of ``m``, signs unfixed) with the singular
+    values sqrt(eigenvalue)."""
     evals, evecs = _lapack(np.linalg.eigh, g)
-    (u,) = _fix_signs(evecs[..., ::-1][..., :k])
-    s = np.sqrt(np.clip(evals[..., ::-1][..., :k], 0.0, None))
-    return u, s
+    u = np.ascontiguousarray(evecs[..., ::-1][..., :k])
+    return u, np.sqrt(np.maximum(evals[..., ::-1][..., :k], 0.0))
 
 
 def _left_singular_factor(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading k left singular vectors (with their singular values) of each
-    matrix of a stack, padded with an orthonormal complement when the
-    matrices have fewer than k columns (the extra directions carry zero core
-    weight, so reconstructions are unaffected)."""
+    matrix of a stack, signs unfixed, as a fresh C-order stack: from the
+    Gram when the matrices are at least as wide as tall (about half an
+    SVD's cost), else from the SVD (the Gram would be the larger matrix),
+    padded with an orthonormal complement when they have fewer than k
+    columns (the extra directions carry zero core weight)."""
     rows, cols = m.shape[-2:]
-    if cols >= _WIDE_FACTOR * rows:
+    if cols >= rows:
         return _gram_factor(m @ m.swapaxes(-1, -2), k)
-    k_eff = min(k, rows, cols)
+    k_eff = min(k, cols)
     u_full, s_full, _ = _lapack(np.linalg.svd, m, full_matrices=False)
-    (u,) = _fix_signs(u_full[..., :k_eff])
+    u = np.ascontiguousarray(u_full[..., :k_eff])
     s = s_full[..., :k_eff].copy()
     if k_eff < k:
         u = np.concatenate([u, _orthonormal_complement(u, k - k_eff)], axis=-1)
@@ -250,20 +240,14 @@ def _project(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return _multi_mode_product(x, factors, range(2, x.ndim), transpose=True)
 
 
-def cross_cov_is_zero(a, b) -> bool:
-    """Whether C = <a, b>_1 is exactly zero, decided from the pair.
+def _cross_cov_zero(a: np.ndarray, b: np.ndarray) -> list[bool]:
+    """Whether C = <a, b>_1 is exactly zero, for every pair of the stacks.
 
     ||C||^2 equals the inner product of the two N x N sample Grams,
     <a_(0) a_(0)^T, b_(0) b_(0)^T>, and that sum is tested for zero. When C is
     the smaller array (N^2 > prod(I) prod(J)) it is formed and tested entry
     by entry instead.
     """
-    a, b = _pair(a, b)
-    return _cross_cov_zero(a[None], b[None])[0]
-
-
-def _cross_cov_zero(a: np.ndarray, b: np.ndarray) -> list[bool]:
-    """:func:`cross_cov_is_zero` of every pair of the stacks."""
     if _over_samples(a, b):
         grams = zip(_sample_gram(a), _sample_gram(b))
         return [float(np.vdot(ga, gb)) == 0.0 for ga, gb in grams]
@@ -272,13 +256,14 @@ def _cross_cov_zero(a: np.ndarray, b: np.ndarray) -> list[bool]:
 
 def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
     """Per mode n, the leading left singular vectors of C_(n), C = <a, b>_1,
-    as a stack over the pairs.
+    as a stack over the pairs (signs unfixed).
 
-    A wide unfolding takes them from C_(n) C_(n)^T. Over the samples that
-    Gram is sum_{s,s'} K[s,s'] x_s,(n) x_s',(n)^T, where x is the side that
-    carries mode n and K the other side's sample Gram: x weighted by K over
-    the samples, contracted with x over everything but mode n. Otherwise
-    (a narrow unfolding, or tall data) C is formed.
+    A wide unfolding (C has at least I_n^2 entries) takes them from
+    C_(n) C_(n)^T. Over the samples that Gram is sum_{s,s'} K[s,s']
+    x_s,(n) x_s',(n)^T, where x is the side that carries mode n and K the
+    other side's sample Gram: x weighted by K over the samples, contracted
+    with x over everything but mode n. Otherwise (a narrow unfolding, or
+    tall data) C is formed.
     """
     shape = a.shape[2:] + b.shape[2:]
     size = math.prod(shape)
@@ -289,7 +274,7 @@ def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list
         weighted = None
         for axis in range(2, x.ndim):
             n = len(factors)
-            if over_samples and size >= _WIDE_FACTOR * shape[n] ** 2:
+            if over_samples and size >= shape[n] ** 2:
                 if weighted is None:
                     flat = x.reshape(x.shape[:2] + (-1,))
                     weighted = (_sample_gram(other) @ flat).reshape(x.shape)
@@ -305,12 +290,26 @@ def _hosvd_factors(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]) -> list
 
 def _start(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...]):
     """What :func:`hosvd` and :func:`hooi` start from: the C-order stacks,
-    the HOSVD factors (a list of stacks) and each side projected on its own."""
+    the HOSVD factors (a list of stacks, signs unfixed) and each side
+    projected on its own."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     factors = _hosvd_factors(a, b, ranks)
     n_a = a.ndim - 2
     projected = [_project(a, factors[:n_a]), _project(b, factors[n_a:])]
     return a, b, factors, projected
+
+
+def _signed(core: np.ndarray, factors: Sequence[np.ndarray]):
+    """The exit of HOSVD and HOOI: each factor column and the matching core
+    slices times the column's :func:`_flips` sign. A column's sign negates
+    whole slices of the projections on it, which leaves every Gram, SVD
+    singular value, objective and stop decision as it was."""
+    signed = []
+    for n, u in enumerate(factors):
+        flips = _flips(u)
+        signed.append(u * flips)
+        core = core * flips.reshape((len(u),) + (1,) * n + (-1,) + (1,) * (core.ndim - n - 2))
+    return core, signed
 
 
 def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> TuckerFactors:
@@ -325,9 +324,8 @@ def hosvd(a: np.ndarray, ranks: Sequence[int], b: np.ndarray | None = None) -> T
     a, b = _pair(a, b)
     ranks = validate_ranks(ranks, a.shape[1:] + b.shape[1:])
     _, _, factors, projected = _start(a[None], b[None], ranks)
-    return TuckerFactors(
-        core=_contract_samples(*projected)[0], factors=tuple(f[0] for f in factors)
-    )
+    core, factors = _signed(_contract_samples(*projected), factors)
+    return TuckerFactors(core=core[0], factors=tuple(f[0] for f in factors))
 
 
 def hooi(
@@ -367,7 +365,8 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
     serial stopping test on its own objective, float(s @ s); an item that
     converges leaves the stacks by index, with its core and factors as they
     stand, and the others sweep on. While every item is still sweeping the
-    sweeps run on the stacks themselves, copying nothing.
+    sweeps run on the stacks themselves, copying nothing. Factor signs are
+    fixed once, on exit, for every item alike.
     """
     a, b, factors, projected = _start(a, b, ranks)
     n_a = a.ndim - 2
@@ -417,14 +416,14 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
             a, b, active = a[going], b[going], active[going]
             factors = [f[going] for f in factors]
             projected = [p[going] for p in projected]
-    if not finished:
-        return _contract_samples(*projected), factors, history, converged
-    finished.append((active, _contract_samples(*projected), factors))
-    core = np.empty((len(history),) + finished[0][1].shape[1:])
-    factors = [np.empty((len(history),) + f.shape[1:]) for f in factors]
-    for items, item_core, item_factors in finished:
-        core[items] = item_core
-        for out, f in zip(factors, item_factors):
-            out[items] = f
-    return core, factors, history, converged
+    core = _contract_samples(*projected)
+    if finished:
+        finished.append((active, core, factors))
+        core = np.empty((len(history),) + core.shape[1:])
+        factors = [np.empty((len(history),) + f.shape[1:]) for f in factors]
+        for items, item_core, item_factors in finished:
+            core[items] = item_core
+            for out, f in zip(factors, item_factors):
+                out[items] = f
+    return (*_signed(core, factors), history, converged)
 

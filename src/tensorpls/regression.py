@@ -474,7 +474,7 @@ def fit_hopls(
     contracted over the N samples. The HOSVD start gets C_(n) C_(n)^T by
     weighting one residual with the other's N x N sample Gram; it forms C
     only when N^2 exceeds the size of C, or for a narrow unfolding (fewer
-    than 4 * I_n^2 entries).
+    than I_n^2 entries: taller than wide).
 
     Extraction stops early when a residual norm falls below epsilon
     (``stop_reason='epsilon'``), when the cross-covariance vanishes — no

@@ -247,12 +247,13 @@ def _contract_samples(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, left to right."""
+    """Kronecker product of a list of matrices, left to right: one broadcast
+    multiply per matrix, the products ``np.kron`` forms, bit for bit."""
     if not matrices:
         raise ShapeMismatchError("kron_all needs at least one matrix")
     out = as_matrix(matrices[0])
-    for m in matrices[1:]:
-        out = np.kron(out, as_matrix(m))
+    for m in map(as_matrix, matrices[1:]):
+        out = (out[:, None, :, None] * m[:, None]).reshape(np.multiply(out.shape, m.shape))
     return out
 
 

@@ -19,8 +19,9 @@ from tensorpls import (
     mode_n_product,
     truncated_svd,
     tucker_assemble,
+    tucker_contract,
 )
-from tensorpls.decomp import _hooi, validate_ranks
+from tensorpls.decomp import _hooi, _left_singular_factor, validate_ranks
 
 
 def rand_orth(rng, n, k):
@@ -328,7 +329,8 @@ def pair_problems(draw):
 @given(problem=pair_problems())
 # a matrix side, as in HOPLS2 (response mode first)
 @example(problem=pair_problem(1, 6, (4,), (5, 5), (1, 2, 2)))
-# a narrow unfolding (mode 0) next to wide ones
+# a tall sweep unfolding (mode 0, 6 x 2: its SVD) next to wide ones; the
+# HOSVD's mode-0 unfolding is square (6 x 6), on the Gram route
 @example(problem=pair_problem(2, 2, (6, 2), (3,), (2, 2, 1)))
 # rank-deficient C: N = 2 below every rank
 @example(problem=pair_problem(3, 2, (5, 5), (5, 5), (3, 3, 3, 3)))
@@ -339,13 +341,16 @@ def pair_problems(draw):
 # tall data: N^2 above the size of C, which is then formed
 @example(problem=pair_problem(6, 8, (2, 2), (3,), (2, 2, 2)))
 def test_factored_pair_matches_dense_cross_covariance(problem):
-    """HOSVD and HOOI of the pair (e, f) are those of C = <e, f>_1 formed."""
+    """HOSVD and HOOI of the pair (e, f) are those of C = <e, f>_1 formed,
+    and each obeys the sign rule with the core that its factors give."""
     e, f, ranks, hooi_settings = problem
     c = cross_cov_mode1(e, f)
     for dense, factored in (
         (hosvd(c, ranks), hosvd(e, ranks, b=f)),
         (hooi(c, ranks, hooi_settings), hooi(e, ranks, hooi_settings, b=f)),
     ):
+        for tuck in (dense, factored):
+            assert_signed_decomposition(c, tuck.core, tuck.factors)
         assert len(factored.objective_history) == len(dense.objective_history)
         assert factored.converged == dense.converged
         np.testing.assert_allclose(
@@ -354,6 +359,15 @@ def test_factored_pair_matches_dense_cross_covariance(problem):
         for u, v in zip(factored.factors, dense.factors):
             assert np.abs(u - v).max() <= 1e-10
         assert np.abs(factored.core - dense.core).max() <= 1e-10 * fro_norm(c)
+
+
+def assert_signed_decomposition(c, core, factors):
+    """Every factor column has its largest-magnitude entry positive, and the
+    core is C projected on the factors (the signs fixed on exit reach both)."""
+    for u in factors:
+        lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+        assert (lead > 0).all()
+    assert np.abs(core - tucker_contract(c, factors)).max() <= 1e-12 * max(fro_norm(c), 1.0)
 
 
 def test_pair_needs_a_shared_sample_mode():
@@ -416,12 +430,12 @@ def pair_stacks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(problem=pair_stacks())
-# sample-space Grams: N^2 below the size of C, every unfolding wide, and a
-# sweep's mode-0 unfolding wide enough for its Gram eigendecomposition
+# sample-space Grams: N^2 below the size of C, and every HOSVD and sweep
+# unfolding at least as wide as tall, so each factor is a Gram's eigenvectors
 @example(problem=pair_stack(1, 3, (3, 2, 5, 5), (3, 4), (2, 3, 3, 2), 6, 1e-12))
 # C formed: tall data, N^2 above the size of C
 @example(problem=pair_stack(2, 3, (30, 2, 2), (30, 2), (1, 2, 1), 6, 1e-12))
-# a narrow unfolding (mode 0, fewer than 4 I^2 entries): its SVD
+# a tall unfolding (mode 0, fewer than I^2 entries): its SVD
 @example(problem=pair_stack(3, 2, (2, 6), (2, 2), (3, 2), 6, 1e-12))
 # ranks above a sweep unfolding's columns: the padded orthonormal complement
 @example(problem=pair_stack(4, 3, (4, 3, 2), (4, 2), (3, 1, 1), 6, 1e-12))
@@ -429,20 +443,67 @@ def pair_stacks(draw):
 @example(problem=pair_stack(5, 3, (5, 4, 3), None, (2, 2, 2), 6, 1e-12))
 # the first item converges on the first sweep, the others stop at the cap
 @example(problem=pair_stack(6, 4, (6, 4, 5), (6, 3), (2, 2, 2), 4, 1e-12, exact_first=True))
+# the full-rank shortcut: no sweep
+@example(problem=pair_stack(7, 3, (3, 2, 3), (3, 2), (2, 3, 2), 4, 1e-12))
 def test_lockstep_hooi_has_the_bits_of_each_single_call(problem):
     """The lockstep HOOI of a stack of pairs gives every item the core,
     factors, objective history and converged flag of its own hooi call,
-    bit for bit."""
+    bit for bit, and every item leaves under the sign rule, whichever sweep
+    it stopped at."""
     a, b, ranks, hooi_settings = problem
     core, factors, history, converged = _hooi(a, b, ranks, hooi_settings)
     for i in range(len(a)):
         if b.ndim == 2:
-            one = hooi(a[i, 0], ranks, hooi_settings)
+            c = a[i, 0]
+            one = hooi(c, ranks, hooi_settings)
         else:
+            c = cross_cov_mode1(a[i], b[i])
             one = hooi(a[i], ranks, hooi_settings, b=b[i])
+        assert_signed_decomposition(c, core[i], [f[i] for f in factors])
         assert same_bits(core[i], one.core)
         assert len(factors) == len(one.factors)
         assert all(same_bits(f[i], g) for f, g in zip(factors, one.factors))
         assert same_bits(history[i], one.objective_history)
         assert converged[i] == one.converged
 
+
+def principal_sine(u, v):
+    """Sine of the largest principal angle between two column-orthonormal
+    bases of the same dimension."""
+    return np.linalg.norm(v - u @ (u.T @ v), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 10),
+    widen=st.floats(1.0, 3.99),
+    seed=st.integers(0, 2**32 - 1),
+    tie=st.integers(0, 12),
+)
+# a 10 x 27 sweep unfolding at lambda = 3, and a square one
+@example(rows=10, widen=2.7, seed=0, tie=0)
+@example(rows=5, widen=1.0, seed=1, tie=6)
+def test_gram_route_factor_is_the_svd_subspace_to_the_gap_bound(rows, widen, seed, tie):
+    """On unfoldings with rows <= cols < 4 rows (taken through their Gram's
+    eigendecomposition), the leading-k factor spans the SVD's subspace: the
+    sine of the largest principal angle between the two stays within
+    8 (rows + cols) eps ||M||_F^2 / (sigma_k^2 - sigma_{k+1}^2), the
+    first-order perturbation bound of the Gram's rounding (Golub & Van Loan,
+    8.6). The singular values may nearly tie at k, 10^-tie apart."""
+    cols = max(rows, min(int(rows * widen), 4 * rows - 1))
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, rows + 1))
+    sigma = np.sort(rng.uniform(0.1, 10.0, rows))[::-1]
+    if k < rows and tie:
+        sigma[k] = sigma[k - 1] * (1 - 10.0**-tie)
+        sigma = np.sort(sigma)[::-1]
+    m = rand_orth(rng, rows, rows) @ np.diag(sigma) @ rand_orth(rng, cols, rows).T
+    u_gram, s_gram = _left_singular_factor(m, k)
+    u_svd, s_svd, _ = np.linalg.svd(m)
+    assert_column_orthonormal(u_gram)
+    below = s_svd[k] if k < rows else 0.0
+    gap = s_svd[k - 1] ** 2 - below**2
+    assume(gap > 0)
+    rounding = 8 * (rows + cols) * np.finfo(float).eps * fro_norm(m) ** 2
+    assert principal_sine(u_gram, u_svd[:, :k]) <= rounding / gap
+    np.testing.assert_allclose(s_gram**2, s_svd[:k] ** 2, rtol=0, atol=rounding)

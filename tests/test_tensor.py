@@ -242,6 +242,28 @@ class TestKron:
     def test_zero(self):
         assert not kron_all([np.ones((2, 2)), np.zeros((2, 2))]).any()
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2, 3), (4, 5)],
+            [(1, 3), (4, 1)],
+            [(3, 1), (1, 4)],
+            [(1, 1), (2, 3)],
+            [(2, 3), (1, 2), (3, 1)],
+            [(1, 2), (3, 1), (2, 2)],
+            [(4, 1), (1, 3), (1, 1)],
+        ],
+    )
+    def test_bytes_of_chained_np_kron(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        mats = [rng.standard_normal(shape) for shape in shapes]
+        want = mats[0]
+        for m in mats[1:]:
+            want = np.kron(want, m)
+        got = kron_all(mats)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_orthonormality_preserved(self):
         rng = np.random.default_rng(9)
         a = rand_orth(rng, 5, 2)
