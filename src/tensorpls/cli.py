@@ -36,8 +36,24 @@ from .evaluate import (
     q_squared_per_column,
     rmsep,
 )
-from .fileio import load_model, read_tensor, save_model, write_json, write_tensor
-from .regression import ALGORITHMS, Algorithm, FitConfig, algorithm, algorithm_of
+from .fileio import (
+    TensorReader,
+    TensorWriter,
+    load_model,
+    read_tensor,
+    save_model,
+    write_json,
+    write_tensor,
+)
+from .regression import (
+    ALGORITHMS,
+    Algorithm,
+    FitConfig,
+    _block_rows,
+    _predict_block,
+    _predict_rank,
+    algorithm,
+)
 from .tensor import fro_norm
 
 EXIT_OK = 0
@@ -208,10 +224,23 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    """Stream ``--x`` through the model in row blocks: one input block and one
+    output block in memory, whatever the batch size.
+
+    The blocks are the ones in-memory prediction cuts the batch into, so the
+    file holds the bits of ``predict(model, read_tensor(x))``. The output
+    replaces ``--out`` only once every row is written, so ``--out`` may name
+    ``--x``.
+    """
     model = load_model(args.model)
-    x = read_tensor(args.x)
-    pred = algorithm_of(model).predict(model, x)
-    write_tensor(args.out, pred)
+    with TensorReader(args.x) as reader:
+        r = _predict_rank(model, reader.shape, None)
+        rows = _block_rows(model)
+        out = np.empty((min(rows, reader.shape[0]),) + model.y_shape)
+        with TensorWriter(args.out, reader.shape[:1] + model.y_shape) as writer:
+            for block in reader.blocks(rows):
+                _predict_block(model, r, block, out[: len(block)])
+                writer.write(out[: len(block)])
     return EXIT_OK
 
 

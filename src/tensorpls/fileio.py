@@ -7,6 +7,9 @@ Tensor files are a single ASCII header line followed by the raw payload::
 
 The header parse is strict: unknown tags, inconsistent order/dims, short or
 trailing payload bytes, and non-finite entries are all rejected.
+:class:`TensorReader` and :class:`TensorWriter` stream a file in row
+blocks; :func:`read_tensor` and :func:`write_tensor` move a whole tensor
+through them.
 
 Model files are JSON documents with float64 arrays embedded as base64 of
 their little-endian bytes, so a load/save round trip preserves predictions
@@ -35,6 +38,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
+import stat
 import typing
 from pathlib import Path
 
@@ -44,6 +49,8 @@ from .errors import FileFormatError
 from .regression import ALGORITHMS, STOP_REASONS, PlsModel, algorithm_of
 
 __all__ = [
+    "TensorReader",
+    "TensorWriter",
     "read_tensor",
     "write_tensor",
     "save_model",
@@ -56,18 +63,122 @@ MODEL_FORMAT = "tensorpls-model"
 MODEL_VERSION = 4
 
 
+class TensorReader:
+    """A TEN1 file opened for reading: its shape first, then its payload.
+
+    Opening parses the header and checks the payload size against it, so
+    ``shape`` is known before a payload byte is read. Every payload entry
+    is read once, with ``readinto``, and checked for finiteness once, in
+    the block it arrives in. Any malformation raises FileFormatError.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._fh = open(path, "rb")
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {path}: {exc}") from exc
+        try:
+            self.shape = _parse_header(self._fh.readline())
+            expected = 8 * math.prod(self.shape)
+            size = os.fstat(self._fh.fileno()).st_size - self._fh.tell()
+            if size != expected:
+                raise FileFormatError(f"payload is {size} bytes, expected {expected}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def read_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a C-order ``<f8`` array of whole rows, with the next
+        rows of the payload, and return it."""
+        try:
+            got = self._fh.readinto(out)
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {self.path}: {exc}") from exc
+        if got != out.nbytes:
+            raise FileFormatError(f"payload ended {out.nbytes - got} bytes early")
+        if not np.isfinite(out).all():
+            raise FileFormatError("payload contains non-finite entries")
+        return out
+
+    def blocks(self, rows: int):
+        """Yield the payload as consecutive blocks of at most ``rows`` rows.
+
+        Every block is a view of one buffer, so a block is valid only until
+        the next one is read.
+        """
+        n = self.shape[0]
+        buf = np.empty((min(rows, n),) + self.shape[1:], dtype="<f8")
+        for start in range(0, n, rows):
+            yield self.read_into(buf[: min(rows, n - start)])
+
+
+class TensorWriter:
+    """A TEN1 file being written: the header, then the payload in row blocks.
+
+    The bytes go to a new temporary file next to ``path``, created with the
+    mode ``open(path, "wb")`` gives (an existing ``path`` keeps its own).
+    When the block leaves without an error and every row was written, the
+    temporary file replaces ``path``; on any failure it is removed, and an
+    existing ``path`` keeps its bytes. A symbolic link is written through,
+    as ``open`` would.
+    """
+
+    def __init__(self, path, shape: tuple[int, ...]):
+        self.path = Path(os.path.realpath(path))
+        self.shape = tuple(shape)
+        self._rows = 0
+        self._tmp = self.path.with_name(f".{self.path.name}.{secrets.token_hex(4)}.tmp")
+        self._fh = open(os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        dims = ",".join(str(d) for d in self.shape)
+        self._fh.write(f"{TENSOR_MAGIC} {len(self.shape)} {dims} f64 row-major\n".encode("ascii"))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            if self._rows != self.shape[0]:
+                raise FileFormatError(f"wrote {self._rows} of {self.shape[0]} rows")
+            self._fh.close()
+            if self.path.exists():
+                os.chmod(self._tmp, stat.S_IMODE(os.stat(self.path).st_mode))
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def write(self, block: np.ndarray) -> None:
+        """Append whole rows of the tensor; non-finite entries raise FileFormatError."""
+        block = np.ascontiguousarray(block, dtype="<f8")
+        if block.shape[1:] != self.shape[1:] or self._rows + len(block) > self.shape[0]:
+            raise ValueError(f"block of shape {block.shape} does not fit a {self.shape} tensor")
+        if not np.isfinite(block).all():
+            raise FileFormatError("refusing to write non-finite entries")
+        self._fh.write(block)
+        self._rows += len(block)
+
+    def _discard(self) -> None:
+        self._fh.close()
+        self._tmp.unlink(missing_ok=True)
+
+
 def write_tensor(path, arr: np.ndarray) -> None:
     """Write a tensor to ``path`` in the TEN1 format."""
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim < 1:
         arr = arr.reshape(1)
-    if not np.isfinite(arr).all():
-        raise FileFormatError("refusing to write non-finite entries")
-    dims = ",".join(str(d) for d in arr.shape)
-    header = f"{TENSOR_MAGIC} {arr.ndim} {dims} f64 row-major\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        arr.astype("<f8", copy=False).tofile(fh)
+    with TensorWriter(path, arr.shape) as writer:
+        writer.write(arr)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -75,20 +186,9 @@ def read_tensor(path) -> np.ndarray:
 
     The payload is read once, straight into the returned array.
     """
-    try:
-        with open(path, "rb") as fh:
-            dims = _parse_header(fh.readline())
-            expected = 8 * math.prod(dims)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if size != expected:
-                raise FileFormatError(f"payload is {size} bytes, expected {expected}")
-            arr = np.fromfile(fh, dtype="<f8", count=math.prod(dims))
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    arr = arr.astype(np.float64, copy=False).reshape(dims)
-    if not np.isfinite(arr).all():
-        raise FileFormatError("payload contains non-finite entries")
-    return arr
+    with TensorReader(path) as reader:
+        arr = reader.read_into(np.empty(reader.shape, dtype="<f8"))
+    return arr.astype(np.float64, copy=False)
 
 
 def _parse_header(line: bytes) -> tuple[int, ...]:

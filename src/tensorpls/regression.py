@@ -40,7 +40,7 @@ the row-major (C-order) feature order of ``X.reshape(n, -1)``. A model
 stores only its parameters and derives both operators from them, once per
 model. Prediction is ``((X - x_mean).reshape(n, -1) W
 response_operator^T).reshape((n,) + y_shape) + y_mean`` for all of them,
-on the batch as it lies in memory.
+on the batch as it lies in memory, one block of rows at a time.
 :data:`ALGORITHMS` is the one table that maps a method name to its fit
 call, its configuration, its lambda range and its model-file tag.
 """
@@ -647,34 +647,61 @@ def fit_pls_nipals(
     )
 
 
-def _predict(model, x_new, n_components: int | None) -> np.ndarray:
-    """The one prediction path: score, subtract the mean's scores, respond, add the mean.
+# Prediction runs in row blocks of at most this many bytes of input rows
+# (at least one row), so the file-to-file path holds a block, not a batch.
+# In-memory prediction cuts a batch at the same rows, so both give the same
+# bits: a GEMM's bits can depend on its row count.
+PREDICT_BLOCK_BYTES = 8 << 20
 
-    This is ``(X - x_mean).reshape(n, -1) W Q^T + y_mean`` computed without
-    a batch-sized temporary: the batch's row-major view is scored against
-    the operators as stored, the centring moves onto the scores
-    (``x_mean W``), and the response comes out row-major, so the output is
-    the only array of batch size.
 
-    ``n_components`` restricts to a leading subset: components are extracted
-    sequentially, so the first r columns of both operators *are* the
-    r-component model.
+def _block_rows(model) -> int:
+    """Rows per prediction block for ``model``'s input rows."""
+    return max(1, PREDICT_BLOCK_BYTES // (8 * math.prod(model.x_shape)))
+
+
+def _predict_rank(model, x_shape: tuple[int, ...], n_components: int | None) -> int:
+    """The component count to predict a batch of shape ``x_shape`` with.
+
+    Raises ShapeMismatchError unless the trailing shape is the training one.
     """
-    x_new = astensor(x_new)
-    if x_new.shape[1:] != model.x_shape:
+    if x_shape[1:] != model.x_shape:
         raise ShapeMismatchError(
-            f"new data trailing shape {x_new.shape[1:]} != training {model.x_shape}"
+            f"new data trailing shape {x_shape[1:]} != training {model.x_shape}"
         )
-    r = model.n_components if n_components is None else min(n_components, model.n_components)
-    n = x_new.shape[0]
+    return model.n_components if n_components is None else min(n_components, model.n_components)
+
+
+def _predict_block(model, r: int, block: np.ndarray, out: np.ndarray) -> None:
+    """Write the r-component prediction of the rows ``block`` into ``out``.
+
+    This is ``(X - x_mean).reshape(n, -1) W Q^T + y_mean`` without a
+    block-sized temporary: the block's row-major view is scored against the
+    operators as stored, the centring moves onto the scores (``x_mean W``),
+    and the response is written row-major straight into ``out``.
+    """
     w = model.score_operator[:, :r]
     q = model.response_operator[:, :r]
-    scores = x_new.reshape(n, w.shape[0]) @ w
+    scores = block.reshape(len(block), w.shape[0]) @ w
     if model.x_mean is not None:
         scores -= model.x_mean.reshape(-1) @ w
-    y = (scores @ q.T).reshape((n,) + model.y_shape)
+    np.matmul(scores, q.T, out=out.reshape(len(out), q.shape[0]))
     if model.y_mean is not None:
-        y += model.y_mean
+        out += model.y_mean
+
+
+def _predict(model, x_new, n_components: int | None) -> np.ndarray:
+    """The one prediction path: the block kernel over the batch's row blocks.
+
+    The output is the only array of batch size. ``n_components`` restricts
+    to a leading subset: components are extracted sequentially, so the
+    first r columns of both operators *are* the r-component model.
+    """
+    x_new = astensor(x_new)
+    r = _predict_rank(model, x_new.shape, n_components)
+    y = np.empty((len(x_new),) + model.y_shape)
+    step = _block_rows(model)
+    for i in range(0, len(x_new), step):
+        _predict_block(model, r, x_new[i : i + step], y[i : i + step])
     return y
 
 

@@ -2,8 +2,11 @@ import base64
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,8 +14,18 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tensorpls import kfold_cv, read_tensor, write_tensor
+from tensorpls import (
+    FitConfig,
+    fit_hopls,
+    kfold_cv,
+    load_model,
+    read_tensor,
+    save_model,
+    write_tensor,
+)
+from tensorpls import regression
 from tensorpls.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from tensorpls.regression import algorithm, algorithm_of
 
 
 def run(args):
@@ -188,6 +201,143 @@ class TestPredictEval:
             l.split("=", 1) for l in capsys.readouterr().out.strip().splitlines()
         )
         assert float(lines["q2"]) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# predict streams its batch in row blocks
+
+ROW_FEATURES = (4, 5)  # 160 bytes of input per row
+BLOCK_ROWS = 5
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Prediction blocks of BLOCK_ROWS rows of ROW_FEATURES inputs. The byte
+    count is not a multiple of a row: a block holds only whole rows."""
+    monkeypatch.setattr(regression, "PREDICT_BLOCK_BYTES", (BLOCK_ROWS * 20 + 7) * 8)
+
+
+@pytest.fixture(scope="module")
+def stream_models(tmp_path_factory):
+    """A model file per prediction path: tensor and matrix response, PLS."""
+    base = tmp_path_factory.mktemp("stream")
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((14, *ROW_FEATURES)) + rng.standard_normal(ROW_FEATURES)
+    y3 = rng.standard_normal((14, 3, 2)) + rng.standard_normal((3, 2))
+    paths = {}
+    for name, y in (("hopls", y3), ("hopls2", y3[:, :, 0]), ("pls", y3)):
+        algo = algorithm(name, y.ndim)
+        paths[name] = base / f"{name}.json"
+        save_model(paths[name], algo.fit(x, y, algo.config(3, algo.fixed_lam or 2, x.ndim, y.ndim)))
+    return paths
+
+
+def batch_file(path, rows, seed=0):
+    """A batch of ``rows`` inputs written to ``path``; returns the batch."""
+    x = np.random.default_rng(seed).standard_normal((rows, *ROW_FEATURES))
+    write_tensor(path, x)
+    return x
+
+
+def cli_predict(model, x, out):
+    return run(["predict", "--model", str(model), "--x", str(x), "--out", str(out)])
+
+
+def in_memory_bytes(model_file, x, tmp_path):
+    """The bytes ``write_tensor(predict(model, x))`` writes."""
+    model = load_model(model_file)
+    path = tmp_path / "in-memory.ten"
+    write_tensor(path, algorithm_of(model).predict(model, x))
+    return path.read_bytes()
+
+
+def no_temporary_files(directory):
+    return [p.name for p in directory.iterdir() if p.name.endswith(".tmp")] == []
+
+
+class TestStreamedPredict:
+    @pytest.mark.parametrize("name", ["hopls", "hopls2", "pls"])
+    def test_file_is_the_in_memory_prediction(self, stream_models, tmp_path, small_blocks, name):
+        """Every batch size, multi-block ones with a ragged last block among them."""
+        for rows in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS, 4 * BLOCK_ROWS + 2):
+            x = batch_file(tmp_path / "x.ten", rows, seed=rows)
+            assert cli_predict(stream_models[name], tmp_path / "x.ten", tmp_path / "p.ten") == EXIT_OK
+            want = in_memory_bytes(stream_models[name], x, tmp_path)
+            assert (tmp_path / "p.ten").read_bytes() == want, rows
+
+    def test_non_finite_entry_in_the_last_block_leaves_the_old_output(
+        self, stream_models, tmp_path, small_blocks
+    ):
+        batch_file(tmp_path / "x.ten", 4 * BLOCK_ROWS + 2)
+        raw = bytearray((tmp_path / "x.ten").read_bytes())
+        raw[-8:] = np.array([np.nan]).astype("<f8").tobytes()
+        (tmp_path / "x.ten").write_bytes(bytes(raw))
+        old = tmp_path / "old.ten"
+        old.write_bytes(b"previous bytes")
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", old) == EXIT_PARSE
+        assert old.read_bytes() == b"previous bytes"
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", tmp_path / "new.ten") == EXIT_PARSE
+        assert not (tmp_path / "new.ten").exists()
+        assert no_temporary_files(tmp_path)
+
+    def test_short_payload_exits_3(self, stream_models, tmp_path, small_blocks):
+        batch_file(tmp_path / "x.ten", 3 * BLOCK_ROWS)
+        (tmp_path / "x.ten").write_bytes((tmp_path / "x.ten").read_bytes()[:-8])
+        assert cli_predict(stream_models["pls"], tmp_path / "x.ten", tmp_path / "p.ten") == EXIT_PARSE
+        assert not (tmp_path / "p.ten").exists()
+        assert no_temporary_files(tmp_path)
+
+    def test_trailing_shape_is_checked_before_the_payload(self, stream_models, tmp_path):
+        """A wrong trailing shape exits 4 even when the payload would fail to read."""
+        bad = tmp_path / "x.ten"
+        bad.write_bytes(b"TEN1 3 2,5,4 f64 row-major\n" + np.full(40, np.nan).tobytes())
+        assert cli_predict(stream_models["hopls"], bad, tmp_path / "p.ten") == EXIT_NUMERIC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ten"]
+
+    def test_out_may_name_the_input(self, stream_models, tmp_path, small_blocks):
+        x = batch_file(tmp_path / "x.ten", 3 * BLOCK_ROWS + 1)
+        want = in_memory_bytes(stream_models["hopls"], x, tmp_path)
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", tmp_path / "x.ten") == EXIT_OK
+        assert (tmp_path / "x.ten").read_bytes() == want
+
+    def test_out_naming_a_directory_exits_3(self, stream_models, tmp_path, small_blocks):
+        batch_file(tmp_path / "x.ten", 2 * BLOCK_ROWS)
+        (tmp_path / "d").mkdir()
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", tmp_path / "d") == EXIT_PARSE
+        assert (tmp_path / "d").is_dir() and list((tmp_path / "d").iterdir()) == []
+        assert no_temporary_files(tmp_path)
+
+    def test_output_mode_is_the_one_open_gives(self, stream_models, tmp_path):
+        batch_file(tmp_path / "x.ten", 3)
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", tmp_path / "p.ten") == EXIT_OK
+        assert stat.S_IMODE((tmp_path / "p.ten").stat().st_mode) == 0o666 & ~umask
+        # open(path, "wb") keeps the mode of a file that is there
+        os.chmod(tmp_path / "p.ten", 0o600)
+        assert cli_predict(stream_models["hopls"], tmp_path / "x.ten", tmp_path / "p.ten") == EXIT_OK
+        assert stat.S_IMODE((tmp_path / "p.ten").stat().st_mode) == 0o600
+
+    def test_memory_is_bounded_by_the_block_not_the_batch(self, tmp_path, monkeypatch):
+        """The traced peak of a 12-block predict stays under 4 blocks' bytes plus
+        the model's operators; holding the batch takes about 2 x 12 blocks.
+        Streaming takes about 2.4 blocks, the rest is argument parsing and
+        model loading."""
+        block = 512 << 10
+        monkeypatch.setattr(regression, "PREDICT_BLOCK_BYTES", block)
+        rng = np.random.default_rng(43)
+        x, y = rng.standard_normal((10, 8, 8)), rng.standard_normal((10, 8, 8))
+        model = fit_hopls(x, y, FitConfig(2, (2, 2), (2, 2)))
+        save_model(tmp_path / "m.json", model)
+        write_tensor(tmp_path / "x.ten", rng.standard_normal((12 * block // (8 * 64), 8, 8)))
+        operators = model.score_operator.nbytes + model.response_operator.nbytes
+        tracemalloc.start()
+        try:
+            assert cli_predict(tmp_path / "m.json", tmp_path / "x.ten", tmp_path / "p.ten") == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block + operators
 
 
 class TestCv:

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tensorpls import (
 )
 from tensorpls.cli import EXIT_NUMERIC, EXIT_PARSE
 from tensorpls.cli import main as cli_main
+from tensorpls.fileio import TensorReader, TensorWriter
 from tensorpls.regression import algorithm
 
 
@@ -96,6 +98,67 @@ class TestTensorFile:
         write_tensor(tmp_path / "a.ten", arr)
         write_tensor(tmp_path / "b.ten", arr)
         assert (tmp_path / "a.ten").read_bytes() == (tmp_path / "b.ten").read_bytes()
+
+
+class TestStreams:
+    def test_reader_yields_row_blocks_of_one_buffer(self, tmp_path):
+        arr = np.random.default_rng(4).standard_normal((7, 2, 3))
+        write_tensor(tmp_path / "t.ten", arr)
+        with TensorReader(tmp_path / "t.ten") as reader:
+            assert reader.shape == (7, 2, 3)
+            blocks = [(b.copy(), b) for b in reader.blocks(3)]
+        assert [b.shape[0] for b, _ in blocks] == [3, 3, 1]
+        assert np.shares_memory(blocks[0][1], blocks[2][1])
+        assert np.concatenate([b for b, _ in blocks]).tobytes() == arr.tobytes()
+
+    def test_short_read_is_file_format_error(self, tmp_path):
+        # the file shrinks after its size was checked; larger than the
+        # reader's buffer, so the last block comes from the file itself
+        write_tensor(tmp_path / "t.ten", np.ones((3000, 2)))
+        with TensorReader(tmp_path / "t.ten") as reader:
+            os.truncate(tmp_path / "t.ten", os.path.getsize(tmp_path / "t.ten") - 8)
+            blocks = reader.blocks(1000)
+            next(blocks), next(blocks)
+            with pytest.raises(FileFormatError, match="ended 8 bytes early"):
+                next(blocks)
+
+    def test_non_finite_entry_fails_its_own_block(self, tmp_path):
+        payload = np.ones((5, 2))
+        payload[4, 1] = np.inf
+        (tmp_path / "t.ten").write_bytes(b"TEN1 2 5,2 f64 row-major\n" + payload.tobytes())
+        with TensorReader(tmp_path / "t.ten") as reader:
+            blocks = reader.blocks(2)
+            assert [next(blocks).shape[0], next(blocks).shape[0]] == [2, 2]
+            with pytest.raises(FileFormatError, match="non-finite"):
+                next(blocks)
+
+    def test_writer_writes_the_bytes_of_write_tensor(self, tmp_path):
+        arr = np.random.default_rng(5).standard_normal((5, 3))
+        write_tensor(tmp_path / "a.ten", arr)
+        with TensorWriter(tmp_path / "b.ten", arr.shape) as writer:
+            writer.write(arr[:2])
+            writer.write(arr[2:])
+        assert (tmp_path / "b.ten").read_bytes() == (tmp_path / "a.ten").read_bytes()
+
+    def test_writer_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "target.ten").write_bytes(b"old")
+        (tmp_path / "link.ten").symlink_to("target.ten")
+        write_tensor(tmp_path / "link.ten", np.ones(2))
+        assert (tmp_path / "link.ten").is_symlink()
+        assert read_tensor(tmp_path / "target.ten").tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("fault", ["raise", "non-finite", "missing rows"])
+    def test_writer_failure_leaves_the_old_file(self, tmp_path, fault):
+        (tmp_path / "t.ten").write_bytes(b"old")
+        with pytest.raises((FileFormatError, KeyError)):
+            with TensorWriter(tmp_path / "t.ten", (4, 2)) as writer:
+                writer.write(np.ones((2, 2)))
+                if fault == "raise":
+                    raise KeyError("caller failed")
+                if fault == "non-finite":
+                    writer.write(np.full((2, 2), np.nan))
+        assert (tmp_path / "t.ten").read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ten"]
 
 
 @pytest.fixture(scope="module")

@@ -26,6 +26,7 @@ from tensorpls import (
     q_squared,
     tucker_assemble,
 )
+from tensorpls import regression
 from tensorpls.regression import ALGORITHMS, _fit_stack, algorithm
 
 
@@ -594,6 +595,24 @@ def test_predict_allocates_only_its_output():
     batch = rng.standard_normal((4000, 16, 16))
     out, peak = peak_bytes(lambda: predict_hopls(model, batch))
     assert peak <= 1.25 * out.nbytes
+
+
+@pytest.mark.parametrize("name", ["hopls", "hopls2", "pls"])
+def test_prediction_of_block_aligned_rows_is_a_slice(monkeypatch, name):
+    """Rows i:j of a batch's prediction, i and j on block boundaries, are the
+    bits of predicting those rows alone: the batch is cut at the same rows."""
+    monkeypatch.setattr(regression, "PREDICT_BLOCK_BYTES", 4 * 8 * 30)  # 4 rows of (5, 6)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((12, 5, 6)) + rng.standard_normal((5, 6))
+    y = rng.standard_normal((12, 4, 3)) + rng.standard_normal((4, 3))
+    if name == "hopls2":
+        y = y[:, :, 0]
+    algo = algorithm(name, y.ndim)
+    model = algo.fit(x, y, algo.config(3, algo.fixed_lam or 2, x.ndim, y.ndim))
+    batch = rng.standard_normal((27, 5, 6))
+    whole = algo.predict(model, batch)
+    for i, j in ((0, 4), (4, 12), (8, 27), (24, 27), (0, 27)):
+        assert whole[i:j].tobytes() == algo.predict(model, batch[i:j]).tobytes(), (i, j)
 
 
 def test_fit_never_forms_the_cross_covariance():
