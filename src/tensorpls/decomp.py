@@ -31,13 +31,12 @@ has the bits of its own call.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, RankError, ShapeMismatchError, SvdConvergenceError
+from .errors import DegenerateDataError, RankError, ShapeMismatchError, SvdConvergenceError, _whole
 from .tensor import _contract_samples, _mode_product, _multi_mode_product, _unfold, fro_norm
 
 __all__ = [
@@ -64,10 +63,7 @@ class HooiSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValueError(f"max_iters must be a whole number, got {self.max_iters!r}") from None
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", ValueError))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         # written so that NaN fails too: no sweep would ever pass the test
@@ -363,10 +359,11 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
     Returns the core stack, the list of factor stacks, and per item its
     objective history (a list) and converged flag. Each item runs the
     serial stopping test on its own objective, float(s @ s); an item that
-    converges leaves the stacks by index, with its core and factors as they
-    stand, and the others sweep on. While every item is still sweeping the
-    sweeps run on the stacks themselves, copying nothing. Factor signs are
-    fixed once, on exit, for every item alike.
+    converges writes its core and factors, as they stand, into the output
+    stacks and leaves the working stacks by index, and the others sweep on.
+    While every item is still sweeping the sweeps run on the stacks
+    themselves, copying nothing. Factor signs are fixed once, on exit, for
+    every item alike.
     """
     a, b, factors, projected = _start(a, b, ranks)
     n_a = a.ndim - 2
@@ -375,8 +372,16 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
     # initialization is already optimal and no sweep can improve it
     full = ranks == a.shape[2:] + b.shape[2:]
     converged = [full] * len(a)
+    core = np.empty((len(a),) + ranks)
+    out = [np.empty_like(f) for f in factors]
     active = np.arange(len(a))
-    finished = []  # (items, core stack, factor stacks) of the items done
+
+    def settle(items):
+        # the core and factors of the working items ``items``, into the output
+        core[active[items]] = _contract_samples(*(p[items] for p in projected))
+        for o, f in zip(out, factors):
+            o[active[items]] = f[items]
+
     for _ in range(0 if full else settings.max_iters):
         for i, (x, first) in enumerate(((a, 0), (b, n_a))):
             # mode n's projection takes the modes before n with the factors
@@ -410,20 +415,10 @@ def _hooi(a: np.ndarray, b: np.ndarray, ranks: tuple[int, ...], settings: HooiSe
         if len(stop) == len(active):
             break
         if stop:
+            settle(stop)
             going = [j for j in range(len(active)) if j not in stop]
-            finished.append((active[stop], _contract_samples(*(p[stop] for p in projected)),
-                             [f[stop] for f in factors]))
             a, b, active = a[going], b[going], active[going]
             factors = [f[going] for f in factors]
             projected = [p[going] for p in projected]
-    core = _contract_samples(*projected)
-    if finished:
-        finished.append((active, core, factors))
-        core = np.empty((len(history),) + core.shape[1:])
-        factors = [np.empty((len(history),) + f.shape[1:]) for f in factors]
-        for items, item_core, item_factors in finished:
-            core[items] = item_core
-            for out, f in zip(factors, item_factors):
-                out[items] = f
-    return (*_signed(core, factors), history, converged)
-
+    settle(slice(None))
+    return (*_signed(core, out), history, converged)

@@ -1,8 +1,10 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and the whole-number check.
 
 The CLI maps these onto distinct exit codes, so keep the split between
 "file/parse" problems and "shape/numerical" problems intact.
 """
+
+import operator
 
 
 class TensorplsError(Exception):
@@ -27,3 +29,12 @@ class SvdConvergenceError(TensorplsError, RuntimeError):
 
 class FileFormatError(TensorplsError, ValueError):
     """An on-disk tensor or model file failed to parse or verify."""
+
+
+def _whole(value, name: str, error: type[Exception]) -> int:
+    """A count given as a Python or numpy integer, as a Python int; anything
+    else raises ``error`` naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be a whole number, got {value!r}") from None

@@ -28,14 +28,13 @@ lockstep fit over the stacked training sets, with the bits of separate fits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .decomp import HooiSettings
-from .errors import DegenerateDataError, ShapeMismatchError
+from .errors import DegenerateDataError, ShapeMismatchError, _whole
 from .regression import FitConfig, _fit_stack, algorithm
 from .tensor import astensor, fro_norm, matricize, tucker_assemble
 
@@ -384,14 +383,6 @@ def grid_candidates(
     ]
 
 
-def _count(value, name: str, error: type[Exception]) -> int:
-    """A count given as a Python or numpy integer, as a Python int."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be a whole number, got {value!r}") from None
-
-
 def _fold_slices(n: int, folds: int) -> list[slice]:
     return [slice(f * n // folds, (f + 1) * n // folds) for f in range(folds)]
 
@@ -438,9 +429,9 @@ def kfold_cv(
     """
     x = astensor(x)
     y = astensor(y)
-    folds = _count(folds, "folds", DegenerateDataError)
-    r_max = _count(r_max, "r_max", ValueError)
-    lambda_max = _count(lambda_max, "lambda_max", ValueError)
+    folds = _whole(folds, "folds", DegenerateDataError)
+    r_max = _whole(r_max, "r_max", ValueError)
+    lambda_max = _whole(lambda_max, "lambda_max", ValueError)
     entry = algorithm(algo, y.ndim)
     lam_top = _lam_top(entry, x.shape, y.shape, lambda_max)
     if folds < 2:

@@ -26,7 +26,9 @@ both cores contract the residuals (HOPLS2's is ``d_r = t_r^T F q_r``).
 The loop and the Tucker step run on a stack of fits along a leading batch
 axis, each fit with its own stop tests and stop reason; a public fit is a
 batch of one, and cross-validation fits its folds as one stack
-(:func:`_fit_stack`; PLS still one fold at a time). Both
+(:func:`_fit_stack`; PLS still one fold at a time). A step works on every
+item it is given and returns, per item, a part or a stop reason; the loop
+alone cuts the stacks, once before each step and once after it. Both
 model records are a :class:`FittedModel`: :class:`HoplsModel` holds the
 Tucker blocks of HOPLS, HOPLS2 and N-PLS, :class:`PlsModel` the NIPALS vectors.
 
@@ -48,7 +50,6 @@ call, its configuration, its lambda range and its model-file tag.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -63,7 +64,7 @@ from .decomp import (
     hooi,
     validate_ranks,
 )
-from .errors import DegenerateDataError, RankError, ShapeMismatchError
+from .errors import DegenerateDataError, RankError, ShapeMismatchError, _whole
 from .tensor import (
     _multi_mode_product,
     _unfold,
@@ -134,9 +135,11 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         # stored as plain Python values: a model file takes no numpy scalar
-        object.__setattr__(self, "n_components", _whole(self.n_components))
-        object.__setattr__(self, "x_ranks", tuple(map(_whole, self.x_ranks)))
-        object.__setattr__(self, "y_ranks", tuple(map(_whole, self.y_ranks)))
+        n_components = _whole(self.n_components, "n_components", RankError)
+        object.__setattr__(self, "n_components", n_components)
+        for name in ("x_ranks", "y_ranks"):
+            counts = tuple(_whole(r, f"each of {name}", RankError) for r in getattr(self, name))
+            object.__setattr__(self, name, counts)
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
         object.__setattr__(self, "center", bool(self.center))
         if self.n_components < 1:
@@ -278,14 +281,6 @@ def _check_epsilon(epsilon: float | None) -> float | None:
     return None if epsilon is None else float(epsilon)
 
 
-def _whole(count) -> int:
-    """A count given as a Python or numpy integer, as a Python int."""
-    try:
-        return operator.index(count)
-    except TypeError:
-        raise RankError(f"counts must be whole numbers, got {count!r}") from None
-
-
 def center_mode1(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove the mode-0 mean; returns (centered tensor, mean field)."""
     centred, (mean,) = _centre(astensor(t)[None])
@@ -318,23 +313,6 @@ def _row_pinv(rows: np.ndarray) -> np.ndarray:
     return pinv.swapaxes(-1, -2)
 
 
-def _going(outcomes: list, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The stacks cut to the items whose outcome is None (as they are when
-    no item has another outcome)."""
-    keep = [j for j, out in enumerate(outcomes) if out is None]
-    if len(keep) == len(outcomes):
-        return stacks
-    return tuple(s[keep] for s in stacks)
-
-
-def _fill(outcomes: list, values) -> None:
-    """Put ``values``, in order, into the entries of ``outcomes`` that are None."""
-    values = iter(values)
-    for j, out in enumerate(outcomes):
-        if out is None:
-            outcomes[j] = next(values)
-
-
 def _deflate(xs, ys, n_components: int, epsilon, center: bool, step):
     """The sequential-deflation loop every estimator shares, on a stack of fits.
 
@@ -342,14 +320,17 @@ def _deflate(xs, ys, n_components: int, epsilon, center: bool, step):
     Y; a single fit is a batch of one. Centres each item (or, uncentred,
     starts from them as given), then calls ``step(e, f)`` once per component
     on the stacked residuals of the fits still going. A step returns
-    ``(outcomes, e, f)``: per item either its part or a stop reason from
-    :data:`STOP_REASONS`, and the new deflated residuals of the items with a
-    part (never written into the old ones). Before each step a fit stops on
-    an exactly zero residual (``'zero_cross_cov'``: no shared variance left)
-    or on a residual norm at or under epsilon (``'epsilon'``; ``None``
-    means ``1e-8`` times the initial norm, separately per side). A fit that
-    stops leaves the stacks by index; every stop test is the one a single
-    fit makes, on its own norms.
+    ``(outcomes, e, f)``: for every item it was given either its part or a
+    stop reason from :data:`STOP_REASONS`, and residuals for every item (an
+    item with a part gets new ones, never written into the old ones; a
+    stopped item's are finite and unused). Before each step a fit stops on
+    an exactly zero residual (``'zero_cross_cov'``: no shared variance
+    left) or on a residual norm at or under epsilon (``'epsilon'``; ``None``
+    means ``1e-8`` times the initial norm, separately per side). This loop
+    is the one place that cuts the stacks: once before each step and once
+    after it, it keeps the items without a stop reason. Every stop test is
+    the one a single fit makes, on its own norms, and an item that rides to
+    the end of a step changes no other item's bits.
 
     Returns, per fit, the :class:`FittedModel` fields as a dict and the
     list of parts.
@@ -372,23 +353,29 @@ def _deflate(xs, ys, n_components: int, epsilon, center: bool, step):
     parts = [[] for _ in xs]
     stop_reasons = ["completed"] * len(xs)
     active = list(range(len(xs)))
+
+    def cut(outcomes, e, f):
+        # record each item's stop reason or part, and keep the items without a stop reason
+        nonlocal active
+        for i, out in zip(active, outcomes):
+            if isinstance(out, str):
+                stop_reasons[i] = out
+            elif out is not None:
+                parts[i].append(out)
+        keep = [j for j, out in enumerate(outcomes) if not isinstance(out, str)]
+        active = [active[j] for j in keep]
+        return (e, f) if len(keep) == len(outcomes) else (e[keep], f[keep])
+
     for _ in range(n_components):
-        outcomes = [
+        e, f = cut([
             "zero_cross_cov" if x_norms[i][-1] == 0.0 or y_norms[i][-1] == 0.0
             else "epsilon" if x_norms[i][-1] <= eps[i][0] or y_norms[i][-1] <= eps[i][1]
             else None
             for i in active
-        ]
-        e, f = _going(outcomes, e, f)
-        if len(e):
-            found, e, f = step(e, f)
-            _fill(outcomes, found)
-        for i, out in zip(active, outcomes):
-            if isinstance(out, str):
-                stop_reasons[i] = out
-            else:
-                parts[i].append(out)
-        active = [i for i, out in zip(active, outcomes) if not isinstance(out, str)]
+        ], e, f)
+        if not active:
+            break
+        e, f = cut(*step(e, f))
         if not active:
             break
         for i, e_item, f_item in zip(active, e, f):
@@ -413,32 +400,30 @@ def _deflate(xs, ys, n_components: int, epsilon, center: bool, step):
 def _fit_tucker(xs, ys, cfg: FitConfig, latent) -> list[HoplsModel]:
     """The deflation loop with the step every Tucker fit shares, on a stack of fits.
 
-    ``latent(e, f)`` gives, per item of the residual stacks, None or a stop
-    reason, and for the items without one the stacks ``(t, x_loadings,
-    y_loadings)`` (or None when no item is left); each core is its residual
-    contracted with them, and each residual loses the component's own
-    fitted block.
+    ``latent(e, f)`` gives, for every item of the residual stacks, None or
+    a stop reason, and the stacks ``(t, x_loadings, y_loadings)`` of all
+    of them (a stopped item's finite). The step builds both cores and the
+    deflated residuals for the whole stack: each core is its residual
+    contracted with the latent vector and loadings, and each residual loses
+    the component's own fitted block. An item whose cross-covariance is
+    exactly zero stops with ``'zero_cross_cov'``, whatever its latent rule
+    says; :func:`_deflate` drops the stopped items.
     """
 
     def step(e, f):
-        outcomes = ["zero_cross_cov" if zero else None for zero in _cross_cov_zero(e, f)]
-        e, f = _going(outcomes, e, f)
-        if len(e):
-            stops, found = latent(e, f)
-            _fill(outcomes, stops)
-            e, f = _going(stops, e, f)
-        if len(e):
-            t, ps, qs = found
-            x_factors, y_factors = (t[..., None], *ps), (t[..., None], *qs)
-            x_core = _multi_mode_product(e, x_factors, range(1, e.ndim), transpose=True)
-            y_core = _multi_mode_product(f, y_factors, range(1, f.ndim), transpose=True)
-            _fill(outcomes, (
-                HoplsComponent(t[j], tuple(p[j] for p in ps), tuple(q[j] for q in qs),
-                               x_core=x_core[j], y_core=y_core[j])
-                for j in range(len(t))
-            ))
-            e = e - _multi_mode_product(x_core, x_factors, range(1, e.ndim))
-            f = f - _multi_mode_product(y_core, y_factors, range(1, f.ndim))
+        stops, (t, ps, qs) = latent(e, f)
+        zero = _cross_cov_zero(e, f)
+        stops = ["zero_cross_cov" if z else stop for z, stop in zip(zero, stops)]
+        x_factors, y_factors = (t[..., None], *ps), (t[..., None], *qs)
+        x_core = _multi_mode_product(e, x_factors, range(1, e.ndim), transpose=True)
+        y_core = _multi_mode_product(f, y_factors, range(1, f.ndim), transpose=True)
+        outcomes = [
+            stop or HoplsComponent(t[j], tuple(p[j] for p in ps), tuple(q[j] for q in qs),
+                                   x_core=x_core[j], y_core=y_core[j])
+            for j, stop in enumerate(stops)
+        ]
+        e = e - _multi_mode_product(x_core, x_factors, range(1, e.ndim))
+        f = f - _multi_mode_product(y_core, y_factors, range(1, f.ndim))
         return outcomes, e, f
 
     shared, components = _deflate(xs, ys, cfg.n_components, cfg.epsilon, cfg.center, step)
@@ -505,9 +490,6 @@ def _fit_hopls(xs, ys, cfg: FitConfig, hooi_settings: HooiSettings) -> list[Hopl
         _, factors = _decompose(e, f, ranks, hooi_settings)
         proj = _multi_mode_product(e, factors[:n_modes_x], range(2, e.ndim), transpose=True)
         stops = [None if np.any(p) else "degenerate_core" for p in proj]
-        proj, *factors = _going(stops, proj, *factors)
-        if not len(proj):
-            return stops, None
         u, _, _ = _truncated_svd(_unfold(proj, 1), 1)
         return stops, (u[..., 0], factors[:n_modes_x], factors[n_modes_x:])
 
@@ -547,42 +529,36 @@ def _fit_hopls2(xs, ys, cfg: FitConfig, hooi_settings: HooiSettings) -> list[Hop
 
     def latent(e, f):
         core, factors = _decompose(f, e, ranks, hooi_settings)
-        c_core_rows = _unfold(core, 1)
-        stops = [None if np.any(row) else "degenerate_core" for row in c_core_rows]
-        e, c_core_rows, *factors = _going(stops, e, c_core_rows, *factors)
-        if not len(e):
-            return stops, None
         proj = _multi_mode_product(e, factors[1:], range(2, e.ndim), transpose=True)
-        t_raw = _unfold(proj, 1) @ _row_pinv(c_core_rows)
-        norms = [float(np.linalg.norm(t)) for t in t_raw]
-        zero = ["degenerate_core" if norm == 0.0 else None for norm in norms]
-        _fill(stops, zero)
-        t_raw, *factors = _going(zero, t_raw, *factors)
-        if not len(t_raw):
-            return stops, None
-        norms = np.array([norm for norm in norms if norm != 0.0])
-        return stops, (t_raw[..., 0] / norms[:, None], factors[1:], factors[:1])
+        # a zero core row has a zero pseudoinverse, so its t_raw is zero too
+        t_raw = _unfold(proj, 1) @ _row_pinv(_unfold(core, 1))
+        norms = np.array([[float(np.linalg.norm(t))] for t in t_raw])
+        t = np.divide(t_raw[..., 0], norms, out=np.zeros(t_raw.shape[:-1]), where=norms != 0.0)
+        stops = [None if norm else "degenerate_core" for norm in norms[:, 0]]
+        return stops, (t, factors[1:], factors[:1])
 
     return _fit_tucker(xs, ys, cfg, latent)
 
 
-def _nipals_step(e: np.ndarray, f: np.ndarray):
+def _nipals_step(es: np.ndarray, fs: np.ndarray):
     """One NIPALS component of the row-major views of a batch of one's
-    residuals: ``([(w, p, q, d)], e, f)`` or ``([stop reason], ...)``."""
-    e, f = e[0].reshape(e.shape[1], -1), f[0].reshape(f.shape[1], -1)
+    residuals: ``([(w, p, q, d)], e, f)``, or ``([stop reason], es, fs)``
+    with the stacks as given. Each fitted block is allocated once and the
+    new residual is written into it."""
+    e, f = es[0].reshape(es.shape[1], -1), fs[0].reshape(fs.shape[1], -1)
     u = f[:, int(np.argmax((f * f).sum(axis=0)))]
     t = np.zeros(e.shape[0])
     for _ in range(NIPALS_MAX_ITER):
         w = e.T @ u
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return ["degenerate_core"], e[:0], f[:0]
+            return ["degenerate_core"], es, fs
         w = w / nw
         t_new = e @ w
         q = f.T @ t_new
         nq = np.linalg.norm(q)
         if nq == 0.0:
-            return ["degenerate_core"], e[:0], f[:0]
+            return ["degenerate_core"], es, fs
         q = q / nq
         u = f @ q
         moved = np.linalg.norm(t_new - t)
@@ -591,10 +567,13 @@ def _nipals_step(e: np.ndarray, f: np.ndarray):
             break
     tt = float(t @ t)
     if tt == 0.0:
-        return ["degenerate_core"], e[:0], f[:0]
+        return ["degenerate_core"], es, fs
     p = e.T @ t / tt
     d = float(u @ t) / tt
-    return [(w, p, q, d)], (e - np.outer(t, p))[None], (f - d * np.outer(t, q))[None]
+    x_block, y_block = np.outer(t, p), d * np.outer(t, q)
+    np.subtract(e, x_block, out=x_block)
+    np.subtract(f, y_block, out=y_block)
+    return [(w, p, q, d)], x_block[None], y_block[None]
 
 
 def fit_pls_nipals(
@@ -629,7 +608,7 @@ def fit_pls_nipals(
     if not np.any(y):
         raise DegenerateDataError("response matrix is all zeros")
     epsilon = _check_epsilon(epsilon)
-    n_components = _whole(n_components)
+    n_components = _whole(n_components, "n_components", RankError)
     n_x_feat = math.prod(x.shape[1:])
     if not 1 <= n_components <= min(x.shape[0], n_x_feat):
         raise RankError(

@@ -266,7 +266,7 @@ class TestHooi:
     def test_settings_no_sweep_could_honour_are_rejected(self, kwargs):
         # a NaN tolerance used to run every call to the cap unconverged, and a
         # fractional count failed with a TypeError inside hooi
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             HooiSettings(**kwargs)
 
     def test_settings_keep_counts_as_python_ints(self):

@@ -288,7 +288,7 @@ class TestKfoldCv:
         # each used to fail with a TypeError from range()
         data = generate(SynthSpec.from_case("2m", 10.0, seed=1))
         args = {"folds": 5, "r_max": 2, "lambda_max": 2} | kwargs
-        with pytest.raises(error):
+        with pytest.raises(error, match=next(iter(kwargs))):
             kfold_cv(data.x, data.y, algo="hopls", hooi_settings=FAST, **args)
 
     def test_numpy_counts_accepted(self):

@@ -82,10 +82,16 @@ class TestFitConfig:
             FitConfig(1, (1, 1), epsilon=float("nan"))
 
     @pytest.mark.parametrize(
-        "args", [(1.5, (2, 2), (2, 2)), (2, (2.7, 2)), (2, (2, 2), (np.float64(2),))]
+        "args",
+        [
+            ((1.5, (2, 2), (2, 2)), "n_components"),
+            ((2, (2.7, 2)), "x_ranks"),
+            ((2, (2, 2), (np.float64(2),)), "y_ranks"),
+        ],
     )
     def test_fractional_counts_rejected(self, args):
-        with pytest.raises(RankError):
+        args, field = args  # the error names the field that is not whole
+        with pytest.raises(RankError, match=field):
             FitConfig(*args)
 
     def test_numpy_scalars_are_stored_as_python_values(self):
@@ -170,7 +176,7 @@ class TestPlsNipals:
 
     def test_fractional_count_rejected(self):
         rng = np.random.default_rng(9)
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match="n_components"):
             fit_pls_nipals(rng.standard_normal((6, 4)), rng.standard_normal((6, 2)), 2.5)
 
     def test_all_zero_response(self):
@@ -639,6 +645,19 @@ def test_uncentred_fit_does_not_copy_its_inputs(name):
     assert peaks[1] < peaks[0] - 0.75 * (x.nbytes + y.nbytes)
 
 
+@pytest.mark.parametrize("r, limit", [(1, 2.8), (3, 5.0)])
+def test_pls_deflates_into_its_fitted_blocks(r, limit):
+    # each new residual is written into its fitted block's buffer, so a step
+    # holds no third data-sized array per side; the limits sit between the
+    # peaks with (about 2.54 and 4.70 times X's bytes) and without that
+    # (3.09 and 5.24)
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((40, 30, 30))
+    y = rng.standard_normal((40, 30, 30))
+    _, peak = peak_bytes(lambda: fit_pls_nipals(x, y, r, center=False))
+    assert peak < limit * x.nbytes
+
+
 def test_tall_fit_builds_no_sample_gram():
     # an N x N Gram here would be 128 MB; C is 648 bytes
     rng = np.random.default_rng(23)
@@ -650,32 +669,43 @@ def test_tall_fit_builds_no_sample_gram():
 
 @pytest.mark.parametrize("name", ["hopls", "hopls2", "npls"])
 def test_lockstep_fits_are_the_single_fits(name):
-    # a stack of three training sets fitted in lockstep: an ordinary one, one
-    # whose Y is constant (its centred residual is zero, so it stops with
-    # 'zero_cross_cov' before the first step) and a noiseless rank-1 one (it
-    # stops with 'epsilon' after one component); each model has the bits of
-    # its own single fit
+    # stacks of three training sets fitted in lockstep: an ordinary one, one
+    # that stops with 'zero_cross_cov' and a noiseless rank-1 one (it stops
+    # with 'epsilon' after one component); each model has the bits of its own
+    # single fit. Centred, the middle Y is constant, so its residual is zero
+    # and it stops before the first step. Uncentred, its X lives on sample 0
+    # and its Y on sample 1: C is exactly zero while neither residual is, so
+    # it stops inside the step and rides along with the others to its end.
     rng = np.random.default_rng(31)
-    x = rng.standard_normal((3, 12, 4, 5))
-    y = rng.standard_normal((3, 12, 3) if name == "hopls2" else (3, 12, 3, 2))
-    y[1] = 2.0
-    t = rng.standard_normal(12)
-    x[2] = np.multiply.outer(t, rng.standard_normal((4, 5)))
-    y[2] = np.multiply.outer(t, rng.standard_normal(y.shape[2:]))
-    algo = algorithm(name, y.ndim - 1)
-    cfg = algo.config(3, 1 if name == "npls" else 2, x.ndim - 1, y.ndim - 1)
-    models = _fit_stack(algo, x, y, cfg, HooiSettings(max_iters=10, rel_tol=1e-6))
-    singles = [algo.fit(x[i], y[i], cfg, HooiSettings(max_iters=10, rel_tol=1e-6)) for i in range(3)]
-    assert [m.stop_reason for m in models] == ["completed", "zero_cross_cov", "epsilon"]
-    for model, one in zip(models, singles):
-        assert model.stop_reason == one.stop_reason
-        assert model.x_residual_norms == one.x_residual_norms
-        assert model.y_residual_norms == one.y_residual_norms
-        assert model.n_components == one.n_components
-        for c, d in zip(model.components, one.components):
-            for u, v in zip(
-                (c.t, c.x_core, c.y_core, *c.x_loadings, *c.y_loadings),
-                (d.t, d.x_core, d.y_core, *d.x_loadings, *d.y_loadings),
-            ):
-                assert u.shape == v.shape and u.tobytes() == v.tobytes()
-        assert algo.predict(model, x[0]).tobytes() == algo.predict(one, x[0]).tobytes()
+    for center in (True, False):
+        x = rng.standard_normal((3, 12, 4, 5))
+        y = rng.standard_normal((3, 12, 3) if name == "hopls2" else (3, 12, 3, 2))
+        if center:
+            y[1] = 2.0
+        else:
+            x[1, 1:] = 0.0
+            y[1, 0] = 0.0
+            y[1, 2:] = 0.0
+        t = rng.standard_normal(12)
+        x[2] = np.multiply.outer(t, rng.standard_normal((4, 5)))
+        y[2] = np.multiply.outer(t, rng.standard_normal(y.shape[2:]))
+        algo = algorithm(name, y.ndim - 1)
+        cfg = algo.config(3, 1 if name == "npls" else 2, x.ndim - 1, y.ndim - 1, center=center)
+        hooi_settings = HooiSettings(max_iters=10, rel_tol=1e-6)
+        models = _fit_stack(algo, x, y, cfg, hooi_settings)
+        singles = [algo.fit(x[i], y[i], cfg, hooi_settings) for i in range(3)]
+        assert [m.stop_reason for m in models] == ["completed", "zero_cross_cov", "epsilon"]
+        if not center:  # no residual was zero: the stop came from the step
+            assert models[1].x_residual_norms[0] > 0 and models[1].y_residual_norms[0] > 0
+        for model, one in zip(models, singles):
+            assert model.stop_reason == one.stop_reason
+            assert model.x_residual_norms == one.x_residual_norms
+            assert model.y_residual_norms == one.y_residual_norms
+            assert model.n_components == one.n_components
+            for c, d in zip(model.components, one.components):
+                for u, v in zip(
+                    (c.t, c.x_core, c.y_core, *c.x_loadings, *c.y_loadings),
+                    (d.t, d.x_core, d.y_core, *d.x_loadings, *d.y_loadings),
+                ):
+                    assert u.shape == v.shape and u.tobytes() == v.tobytes()
+            assert algo.predict(model, x[0]).tobytes() == algo.predict(one, x[0]).tobytes()
