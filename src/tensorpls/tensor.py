@@ -87,9 +87,26 @@ def astensor(data, shape: Sequence[int] | None = None) -> np.ndarray:
         arr = arr.reshape(shape)
     if arr.ndim < 1:
         arr = arr.reshape(1)
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ShapeMismatchError("tensor entries must be finite (no NaN/Inf)")
     return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of the C-contiguous ``arr`` is finite.
+
+    The entries are checked in chunks of at most
+    ``regression.PREDICT_BLOCK_BYTES`` bytes, so the boolean mask of a check
+    is an eighth of a chunk, never of the whole tensor.
+    """
+    from .regression import PREDICT_BLOCK_BYTES  # at call time: regression imports this module
+
+    flat = arr.reshape(-1)
+    step = max(1, PREDICT_BLOCK_BYTES // flat.itemsize)
+    for start in range(0, flat.size, step):
+        if not np.isfinite(flat[start : start + step]).all():
+            return False
+    return True
 
 
 def as_matrix(data) -> np.ndarray:

@@ -1,8 +1,11 @@
 import base64
+import errno
 import hashlib
+import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from tensorpls import (
     ALGORITHMS,
     FileFormatError,
     FitConfig,
+    ShapeMismatchError,
+    astensor,
     fit_hopls,
     fit_hopls2,
     fit_pls_nipals,
@@ -23,6 +28,7 @@ from tensorpls import (
     save_model,
     write_tensor,
 )
+from tensorpls import fileio, regression
 from tensorpls.cli import EXIT_NUMERIC, EXIT_PARSE
 from tensorpls.cli import main as cli_main
 from tensorpls.fileio import TensorReader, TensorWriter
@@ -159,6 +165,127 @@ class TestStreams:
                     writer.write(np.full((2, 2), np.nan))
         assert (tmp_path / "t.ten").read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["t.ten"]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 4), ()])
+    def test_writer_refuses_a_shape_the_reader_rejects(self, tmp_path, shape):
+        (tmp_path / "t.ten").write_bytes(b"old")
+        with pytest.raises(FileFormatError, match="dimension must be >= 1"):
+            TensorWriter(tmp_path / "t.ten", shape)
+        if shape:
+            with pytest.raises(FileFormatError, match="dimension must be >= 1"):
+                write_tensor(tmp_path / "t.ten", np.empty(shape))
+        assert (tmp_path / "t.ten").read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ten"]
+
+    def test_failed_header_write_closes_and_removes_the_temporary(self, tmp_path, monkeypatch):
+        opened = []
+
+        class FullDisk(io.BufferedWriter):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_full(fd, mode):
+            opened.append(FullDisk(io.FileIO(fd, "w")))
+            return opened[-1]
+
+        (tmp_path / "t.ten").write_bytes(b"old")
+        monkeypatch.setattr(fileio, "open", open_full, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            TensorWriter(tmp_path / "t.ten", (2, 3))
+        assert len(opened) == 1 and opened[0].closed
+        assert (tmp_path / "t.ten").read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ten"]
+
+
+# Finiteness is checked in chunks of PREDICT_BLOCK_BYTES. The tests below
+# shrink the chunk to CHUNK entries, so that a (3, 4, 5) tensor spans nine
+# chunks and each of write_tensor's one-row blocks (20 entries) three.
+CHUNK = 7
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(regression, "PREDICT_BLOCK_BYTES", 8 * CHUNK)
+
+
+class TestChunkedFiniteness:
+    """One non-finite entry anywhere is rejected, whatever chunk it falls
+    in: every position of the tensor is tried, so the first entry, the last
+    and both sides of every chunk boundary are among them."""
+
+    shape = (3, 4, 5)
+
+    def one_bad_entry(self):
+        base = np.arange(1.0, 1.0 + math.prod(self.shape)).reshape(self.shape)
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in range(base.size):
+                arr = base.copy()
+                arr.flat[pos] = bad
+                yield arr
+
+    def test_astensor(self, small_chunks):
+        for arr in self.one_bad_entry():
+            with pytest.raises(ShapeMismatchError, match="finite"):
+                astensor(arr)
+
+    def test_write_tensor(self, tmp_path, small_chunks):
+        path = tmp_path / "t.ten"
+        path.write_bytes(b"old")
+        for arr in self.one_bad_entry():
+            with pytest.raises(FileFormatError, match="non-finite"):
+                write_tensor(path, arr)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ten"]
+
+    def test_read_tensor(self, tmp_path, small_chunks):
+        path = tmp_path / "t.ten"
+        header = b"TEN1 3 3,4,5 f64 row-major\n"
+        for arr in self.one_bad_entry():
+            path.write_bytes(header + arr.astype("<f8").tobytes())
+            with pytest.raises(FileFormatError, match="non-finite"):
+                read_tensor(path)
+
+    def test_write_tensor_converts_each_block(self, tmp_path, small_chunks):
+        arr = np.arange(60.0).reshape(self.shape)
+        strided = np.zeros((3, 4, 10))
+        strided[..., ::2] = arr
+        for src in (np.asfortranarray(arr), arr.astype(np.float32), arr.astype(">f8"), strided[..., ::2]):
+            write_tensor(tmp_path / "t.ten", src)
+            assert (tmp_path / "t.ten").read_bytes()[27:] == arr.astype("<f8").tobytes()
+
+    def test_finite_tensor_passes_all_three(self, tmp_path, small_chunks):
+        arr = np.arange(60.0).reshape(self.shape)
+        assert astensor(arr) is arr
+        write_tensor(tmp_path / "t.ten", arr)
+        assert read_tensor(tmp_path / "t.ten").tobytes() == arr.tobytes()
+
+
+def test_validating_reading_and_writing_hold_one_chunk_mask(tmp_path, monkeypatch):
+    """Beyond the tensor (and the array read_tensor returns), a call holds
+    at most one chunk's boolean mask: an eighth of a chunk, here 8 KiB,
+    where a whole-tensor mask is 512 KiB. The slack covers the file
+    buffer and small objects."""
+    chunk = 64 << 10
+    monkeypatch.setattr(regression, "PREDICT_BLOCK_BYTES", chunk)
+    arr = np.random.default_rng(6).standard_normal((512, 32, 32))  # 4 MiB
+    path = tmp_path / "t.ten"
+    write_tensor(path, arr)
+    allowed = chunk // 8 + (32 << 10)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: astensor(arr))[1] <= allowed
+    assert peak(lambda: write_tensor(path, arr))[1] <= allowed
+    back, held = peak(lambda: read_tensor(path))
+    assert held <= back.nbytes + allowed
+    assert back.tobytes() == arr.tobytes()
 
 
 @pytest.fixture(scope="module")
